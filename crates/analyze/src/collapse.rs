@@ -36,7 +36,7 @@ use snn_faults::{
     CampaignError, CampaignOutcome, CancelToken, Fault, FaultKind, FaultOutcome, FaultSimConfig,
     FaultSimulator, FaultSite, FaultUniverse, Injection, ProgressSink,
 };
-use snn_model::{Layer, LifParams, Network, WeightRef};
+use snn_model::{Layer, Network, WeightRef};
 use snn_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -524,15 +524,6 @@ impl CollapsedUniverse {
     }
 }
 
-/// Effective parameters after a timing fault, mirroring the simulator's
-/// clamping (`snn::sim::EffectiveParams`): `θ' = max(θ·ts, ε)`,
-/// `λ' = clamp(λ·ls, ε, 1)`.
-fn scaled_params(lif: &LifParams, threshold_scale: f32, leak_scale: f32) -> (f32, f32) {
-    let threshold = (lif.threshold * threshold_scale).max(f32::EPSILON);
-    let leak = (lif.leak * leak_scale).clamp(f32::EPSILON, 1.0);
-    (threshold, leak)
-}
-
 fn timing_on_dead(
     net: &Network,
     intervals: &IntervalAnalysis,
@@ -545,9 +536,10 @@ fn timing_on_dead(
         return None;
     }
     let lif = net.layers().get(layer).and_then(Layer::lif)?;
-    let (threshold_scaled, leak_scaled) = scaled_params(lif, threshold_scale, leak_scale);
+    // provably_dead ignores the refractory period, so its delta is moot.
+    let perturbed = lif.with_timing_fault(threshold_scale, leak_scale, 0);
+    let (threshold_scaled, leak_scaled) = (perturbed.threshold, perturbed.leak);
     let z_max = intervals.z_max(layer, index);
-    let perturbed = LifParams { threshold: threshold_scaled, leak: leak_scaled, ..*lif };
     if provably_dead(z_max, &perturbed) {
         Some(CollapseReason::TimingOnDead { layer, index, z_max, threshold_scaled, leak_scaled })
     } else {
@@ -768,7 +760,8 @@ fn check_reason(
             let Some(lif) = net.layers().get(*layer).and_then(Layer::lif) else {
                 return Some("neuron layer has no LIF parameters".into());
             };
-            let (t, l) = scaled_params(lif, threshold_scale, leak_scale);
+            let perturbed = lif.with_timing_fault(threshold_scale, leak_scale, 0);
+            let (t, l) = (perturbed.threshold, perturbed.leak);
             if !f32_eq(t, *threshold_scaled) || !f32_eq(l, *leak_scaled) {
                 return Some(format!(
                     "recorded scaled params ({threshold_scaled}, {leak_scaled}) != recomputed ({t}, {l})"
@@ -778,7 +771,6 @@ fn check_reason(
             if (recomputed - z_max).abs() > 1e-12 * z_max.abs().max(1.0) {
                 return Some(format!("recorded z_max {z_max} != recomputed {recomputed}"));
             }
-            let perturbed = LifParams { threshold: t, leak: l, ..*lif };
             if !provably_dead(recomputed, &perturbed) {
                 return Some("neuron not provably dead under perturbed parameters".into());
             }

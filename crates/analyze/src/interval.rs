@@ -181,8 +181,9 @@ pub fn provably_dead(z_max: f64, lif: &LifParams) -> bool {
     v_sup < f64::from(lif.threshold) * (1.0 - MARGIN)
 }
 
-/// `true` when a neuron is provably excitable: iterates the simulator's
-/// own f32 recursion `v ← λ·v + z` under a deflated constant drive.
+/// `true` when a neuron is provably excitable: runs the simulator's own
+/// [`LifParams::step`] from resting state under a deflated constant drive
+/// until the first spike.
 /// `terms` is the number of summands behind `z_pos` (bounds the f32
 /// summation error the deflation must absorb).
 fn provably_excitable(z_pos: f64, terms: usize, lif: &LifParams) -> bool {
@@ -194,14 +195,8 @@ fn provably_excitable(z_pos: f64, terms: usize, lif: &LifParams) -> bool {
         return false;
     }
     let z = (z_pos * deflate) as f32;
-    let mut v = 0.0f32;
-    for _ in 0..EXCITE_HORIZON {
-        v = lif.leak * v + z;
-        if v >= lif.threshold {
-            return true;
-        }
-    }
-    false
+    let (mut carried, mut refrac) = (0.0f32, 0u32);
+    (0..EXCITE_HORIZON).any(|_| lif.step(&mut carried, &mut refrac, z).fired)
 }
 
 /// Row-major `[out × in]` weight rows as slices.

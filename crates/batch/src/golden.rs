@@ -14,11 +14,11 @@
 //! * **divergence tests** — lane spike rows are compared against the
 //!   golden output rows to resolve reconverged lanes early.
 //!
-//! The replay mirrors `snn-model`'s dense LIF kernel operation for
-//! operation (`matvec` drive, leak–integrate–fire update), so every
-//! stored value is bit-identical to what the scalar engine computes; a
-//! debug assertion cross-checks the replayed spikes against the recorded
-//! baseline trace.
+//! The replay computes the drive with the scalar engine's `matvec` and
+//! advances each neuron with the same [`snn_model::LifParams::step`]
+//! `run_lif` calls, so every stored value is bit-identical to what the
+//! scalar engine computes; a debug assertion cross-checks the replayed
+//! spikes against the recorded baseline trace.
 
 use snn_model::{Network, Trace};
 use snn_obs::phase::LocalPhases;
@@ -80,7 +80,7 @@ pub(crate) fn golden_suffix(
 }
 
 /// Replays one dense layer tick for tick, recording everything the
-/// packed kernel reuses. Mirrors `run_lif`'s per-neuron update exactly.
+/// packed kernel reuses.
 fn replay_dense(net: &Network, idx: usize, input: &Tensor) -> GoldenLayer {
     let layer = crate::dense_layer(net, idx);
     let dims = input.shape().dims();
@@ -108,18 +108,8 @@ fn replay_dense(net: &Network, idx: usize, input: &Tensor) -> GoldenLayer {
             &mut gl.z[t * n..(t + 1) * n],
         );
         for q in 0..n {
-            if refrac[q] > 0 {
-                refrac[q] -= 1;
-                carried[q] = 0.0;
-                continue; // out stays 0.0
-            }
-            let v = lif.leak * carried[q] + gl.z[t * n + q];
-            if v >= lif.threshold {
+            if lif.step(&mut carried[q], &mut refrac[q], gl.z[t * n + q]).fired {
                 gl.out[t * n + q] = 1.0;
-                carried[q] = 0.0;
-                refrac[q] = lif.refrac_steps;
-            } else {
-                carried[q] = v;
             }
         }
     }
@@ -178,21 +168,7 @@ mod tests {
             let mut refrac = gl.refrac_pre[t0 * n..(t0 + 1) * n].to_vec();
             for t in t0..gl.steps {
                 for q in 0..n {
-                    let fired = if refrac[q] > 0 {
-                        refrac[q] -= 1;
-                        carried[q] = 0.0;
-                        false
-                    } else {
-                        let v = lif.leak * carried[q] + gl.z[t * n + q];
-                        if v >= lif.threshold {
-                            carried[q] = 0.0;
-                            refrac[q] = lif.refrac_steps;
-                            true
-                        } else {
-                            carried[q] = v;
-                            false
-                        }
-                    };
+                    let fired = lif.step(&mut carried[q], &mut refrac[q], gl.z[t * n + q]).fired;
                     assert_eq!(fired, gl.spike(t, q), "t0={t0} t={t} q={q}");
                 }
             }

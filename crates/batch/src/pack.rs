@@ -32,7 +32,8 @@
 //! * synaptic drives reuse golden `z` values or recompute them with
 //!   [`lane_row_dot`] / [`row_dot`], both bitwise equal to the `matvec`
 //!   rows the scalar engine computes (see `snn_tensor::packed`);
-//! * the LIF update replicates `run_lif` operation for operation;
+//! * every neuron update is `snn_model::LifParams::step`, the function
+//!   `run_lif` calls;
 //! * the L1 distance over binary spike trains is a diff-bit count — a
 //!   sum of exact `1.0`s, so counting bits and converting the integer to
 //!   `f32` reproduces the scalar accumulation bitwise (output layers are
@@ -46,7 +47,7 @@ use snn_faults::{
     provably_undetectable, ActivitySummary, Fault, FaultKind, FaultOutcome, FaultSimConfig,
     FaultSite, Injection,
 };
-use snn_model::{LifParams, Network, Trace};
+use snn_model::{Network, Trace};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::packed::{broadcast_row, lane_row_dot, row_diff_mask, row_dot, set_lane_bit};
@@ -112,57 +113,6 @@ impl LaneVerdict {
                     self.best_diff = Some(class_diff());
                 }
             }
-        }
-    }
-}
-
-/// Per-neuron LIF integrator replicating `run_lif`'s update exactly.
-struct NeuronSim {
-    threshold: f32,
-    leak: f32,
-    refrac_steps: u32,
-    carried: f32,
-    refrac: u32,
-}
-
-impl NeuronSim {
-    fn nominal(lif: &LifParams) -> Self {
-        Self {
-            threshold: lif.threshold,
-            leak: lif.leak,
-            refrac_steps: lif.refrac_steps,
-            carried: 0.0,
-            refrac: 0,
-        }
-    }
-
-    /// Mirrors the model's `EffectiveParams` arithmetic for `ParamScale`
-    /// overrides bit for bit.
-    fn timing(lif: &LifParams, threshold_scale: f32, leak_scale: f32, refrac_delta: i32) -> Self {
-        Self {
-            threshold: (lif.threshold * threshold_scale).max(f32::EPSILON),
-            leak: (lif.leak * leak_scale).clamp(f32::EPSILON, 1.0),
-            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
-            refrac_steps: (i64::from(lif.refrac_steps) + i64::from(refrac_delta)).max(0) as u32,
-            carried: 0.0,
-            refrac: 0,
-        }
-    }
-
-    fn tick(&mut self, z: f32) -> u8 {
-        if self.refrac > 0 {
-            self.refrac -= 1;
-            self.carried = 0.0;
-            return 0;
-        }
-        let v = self.leak * self.carried + z;
-        if v >= self.threshold {
-            self.carried = 0.0;
-            self.refrac = self.refrac_steps;
-            1
-        } else {
-            self.carried = v;
-            0
         }
     }
 }
@@ -343,8 +293,12 @@ fn stage_a(
                     // The drive is unchanged — only the LIF constants
                     // differ — so the golden z column is reused verbatim.
                     let lif = &crate::dense_layer(ctx.net, ell).lif;
-                    let mut sim = NeuronSim::timing(lif, threshold_scale, leak_scale, refrac_delta);
-                    (0..steps).map(|t| sim.tick(gl.z[t * gl.n + index])).collect()
+                    let lif = lif.with_timing_fault(threshold_scale, leak_scale, refrac_delta);
+                    let (mut carried, mut refrac) = (0.0f32, 0u32);
+                    let z = |t: usize| gl.z[t * gl.n + index];
+                    (0..steps)
+                        .map(|t| u8::from(lif.step(&mut carried, &mut refrac, z(t)).fired))
+                        .collect()
                 }
                 // The outer match arm admits the three neuron kinds only.
                 _ => unreachable!(),
@@ -369,7 +323,7 @@ fn stage_a(
             let forward_started = monotonic();
             local.add(Phase::Inject, forward_started.saturating_sub(inject_started));
             let x = ctx.layer_input(k, ell);
-            let mut sim = NeuronSim::nominal(&layer.lif);
+            let (mut carried, mut refrac) = (0.0f32, 0u32);
             let out: Vec<u8> = (0..steps)
                 .map(|t| {
                     // z reuse: when input feature c carries no traffic
@@ -385,7 +339,7 @@ fn stage_a(
                     } else {
                         gl.z[t * gl.n + q]
                     };
-                    sim.tick(z)
+                    u8::from(layer.lif.step(&mut carried, &mut refrac, z).fired)
                 })
                 .collect();
             local.add_forward(ell, monotonic().saturating_sub(forward_started));
@@ -522,8 +476,8 @@ fn downstream(
 /// input tick `t0`: before `t0` the lane's input rows are golden, so its
 /// state *entering* `t0` is exactly the recorded golden pre-tick state
 /// (see `golden.rs`). Drives come from the stored golden `z` on
-/// non-divergent ticks and [`lane_row_dot`] otherwise; the LIF update
-/// mirrors `run_lif`. Output spikes land in `out_buf[t0.. ]` rows.
+/// non-divergent ticks and [`lane_row_dot`] otherwise; neurons advance by
+/// [`snn_model::LifParams::step`]. Output spikes land in `out_buf[t0.. ]` rows.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, never public
 fn materialize_lane(
     layer: &snn_model::DenseLayer,
@@ -558,21 +512,7 @@ fn materialize_lane(
         }
         let out_row = &mut out_buf[t * n..(t + 1) * n];
         for q in 0..n {
-            if refrac[q] > 0 {
-                refrac[q] -= 1;
-                carried[q] = 0.0;
-                out_row[q] = 0;
-            } else {
-                let v = lif.leak * carried[q] + z[q];
-                if v >= lif.threshold {
-                    out_row[q] = 1;
-                    carried[q] = 0.0;
-                    refrac[q] = lif.refrac_steps;
-                } else {
-                    out_row[q] = 0;
-                    carried[q] = v;
-                }
-            }
+            out_row[q] = u8::from(lif.step(&mut carried[q], &mut refrac[q], z[q]).fired);
         }
     }
     local.add_forward(d, monotonic().saturating_sub(forward_started));

@@ -1,26 +1,56 @@
-//! The workspace-wide lock acquisition order, as seen from the cluster
-//! crate.
+//! The workspace-wide lock acquisition order — the one registry.
 //!
-//! The runtime detector in the vendored `parking_lot` accepts exactly
-//! one order list per process (first registration wins), and `snn-mtfc`
-//! processes routinely hold service and cluster locks in the same
-//! process — the server's accept loop takes `cluster.coordinator` while
-//! job workers take the service locks. So the cluster crate registers
-//! the *combined* order, identical to
-//! `snn-service`'s `lock_order::LOCK_ORDER`; a test in the service crate
-//! asserts the two lists never drift apart.
+//! Every `Mutex`/`RwLock` in the service and cluster crates is
+//! constructed with `Mutex::named(..)` using a name from [`LOCK_ORDER`]
+//! — enforced statically by the `snn-lint` pass `L-LOCK` — and the order
+//! itself is enforced at runtime, in debug builds only, by the vendored
+//! `parking_lot`'s lock-order detector: acquiring a lock while holding
+//! one that ranks after it panics immediately with both acquisition
+//! sites, turning a timing-dependent ABBA deadlock into a deterministic
+//! single-run test failure.
+//!
+//! The detector accepts exactly one order list per process (first
+//! registration wins), and `snn-mtfc` processes routinely hold service
+//! and cluster locks in the same process — the server's accept loop
+//! takes `cluster.coordinator` while job workers take the service locks.
+//! So this lower crate owns the combined order and `snn-service`
+//! registers it from its own entry points.
 
 /// Lock names in their required acquisition order (earlier first).
 ///
-/// Service names come first, unchanged; the cluster names rank after
-/// them:
+/// Since the guard narrowing driven by `snn-lint`'s `L-HELDLOCK` pass
+/// (DESIGN.md §15), no service lock nests inside another in practice —
+/// the static acquisition graph built by `L-LOCKGRAPH` has no edges
+/// among these locks. The ranks are kept anyway: they document the only
+/// nestings that would ever be legal, and the runtime detector still
+/// catches regressions reaching a lock through a path the static pass
+/// cannot see (trait objects, function pointers).
 ///
+/// * `service.queue` guards only the queue itself: the capacity check,
+///   the push and the pop each take it briefly. `JobStore::submit`
+///   persists to disk and therefore runs *between* two short queue
+///   critical sections, not under one.
+/// * `service.running` is held only to insert/remove/clone cancellation
+///   tokens — tokens are cloned out before `cancel()` is called. It sits
+///   between the queue and the store so a future "queue → running"
+///   handoff under both locks would stay legal.
+/// * `service.sink.last_persist` guards only the throttle decision on
+///   the progress path; the persisting `JobStore::update` runs after the
+///   guard is released.
+/// * `service.bus.subscribers` ranks second-to-last among the service
+///   locks: event fan-out must never acquire another service lock while
+///   delivering (the analysis cache is never touched from the event
+///   path).
+/// * `service.analysis.cache` ranks last among the service locks: it is
+///   a leaf — the cache is locked only for a point lookup or insert,
+///   never while computing an analysis and never while holding it
+///   acquiring anything else.
 /// * `cluster.coordinator` ranks after every service lock because job
 ///   workers call into the coordinator (submit, wait, status) from code
 ///   that also takes service locks. Today every such call site releases
-///   its service guard first (`snn-lint`'s `L-LOCKGRAPH` pass proves the
-///   static acquisition graph has no service→cluster edge), but ranking
-///   the coordinator below keeps any future nesting one-directional. The
+///   its service guard first (`L-LOCKGRAPH` proves the static
+///   acquisition graph has no service→cluster edge), but ranking the
+///   coordinator below keeps any future nesting one-directional. The
 ///   coordinator itself calls nothing while locked.
 /// * `cluster.worker.session` is a leaf in the worker process: the
 ///   heartbeat thread and the lease loop exchange the current lease
@@ -40,8 +70,9 @@ pub const LOCK_ORDER: &[&str] = &[
 ];
 
 /// Registers [`LOCK_ORDER`] with the runtime detector. Idempotent —
-/// the coordinator constructor and the worker entry point both call it
-/// defensively.
+/// every entry point (server bind, store open, bus construction,
+/// coordinator construction, worker start) calls it defensively so
+/// partial uses of either crate are still checked.
 pub fn register() {
     parking_lot::lock_order::register(LOCK_ORDER);
 }

@@ -1,6 +1,7 @@
 use serde::{Deserialize, Serialize};
 use snn_model::{Network, Trace};
 use snn_tensor::Shape;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Per-layer neuron-activity map of one stimulus — the data behind the
@@ -60,17 +61,38 @@ impl ActivityMap {
 }
 
 /// Splits a recorded span trace into the paper's runtime phases: summed
-/// wall-clock of the `generate` spans, of the `faultsim.campaign` spans,
-/// and of everything (the root spans) — the source for
-/// [`TestMetrics::generation_runtime`], [`TestMetrics::fault_sim_runtime`]
-/// and [`TestMetrics::total_runtime`].
+/// wall-clock of the outermost `generate` spans, of the outermost
+/// `faultsim.campaign` spans, and of everything (the root spans) — the
+/// source for [`TestMetrics::generation_runtime`],
+/// [`TestMetrics::fault_sim_runtime`] and [`TestMetrics::total_runtime`].
+///
+/// A span with a same-named ancestor is skipped: its time already lies
+/// inside the ancestor's (the packed engine runs its scalar fallback as a
+/// nested `faultsim.campaign`).
 pub fn runtimes_from_spans(records: &[snn_obs::SpanRecord]) -> (Duration, Duration, Duration) {
-    let sum_named = |name: &str| -> Duration {
-        records.iter().filter(|r| r.name == name).map(snn_obs::SpanRecord::duration).sum()
+    let by_id: HashMap<u64, &snn_obs::SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
+    let has_ancestor_named = |r: &snn_obs::SpanRecord| {
+        // Bounded walk: a malformed trace with a parent cycle ends it.
+        let mut parent = r.parent;
+        for _ in 0..records.len() {
+            let Some(p) = parent.and_then(|id| by_id.get(&id)) else { return false };
+            if p.name == r.name {
+                return true;
+            }
+            parent = p.parent;
+        }
+        false
+    };
+    let sum_outermost = |name: &str| -> Duration {
+        records
+            .iter()
+            .filter(|r| r.name == name && !has_ancestor_named(r))
+            .map(snn_obs::SpanRecord::duration)
+            .sum()
     };
     let total =
         records.iter().filter(|r| r.parent.is_none()).map(snn_obs::SpanRecord::duration).sum();
-    (sum_named("generate"), sum_named("faultsim.campaign"), total)
+    (sum_outermost("generate"), sum_outermost("faultsim.campaign"), total)
 }
 
 /// Builds the activity map of a forward trace: a neuron counts as active
@@ -228,6 +250,10 @@ mod tests {
             rec(1, None, "generate", 0, 4_000_000),
             rec(2, Some(1), "stage1", 0, 3_000_000),
             rec(3, None, "faultsim.campaign", 4_000_000, 6_500_000),
+            // The packed engine's scalar fallback: a campaign nested (two
+            // levels down) in the outer one, whose wall clock it shares.
+            rec(4, Some(3), "fallback", 5_000_000, 6_000_000),
+            rec(5, Some(4), "faultsim.campaign", 5_000_000, 6_000_000),
         ];
         let (generation, fault_sim, total) = runtimes_from_spans(&spans);
         assert_eq!(generation, Duration::from_secs(4));

@@ -122,7 +122,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
 /// Lints the workspace rooted at `root`.
 ///
 /// Phases: (1) read + lex + parse every file (parallel); (2) build
-/// workspace facts (lock maps, blocking closure, LOCK_ORDER registries,
+/// workspace facts (lock maps, blocking closure, the LOCK_ORDER registry,
 /// span registry — sequential, cheap); (3) run the per-file pass registry
 /// (parallel); (4) run the workspace-level checks (lock graph, wire
 /// baseline, obs consistency); (5) apply allow directives per file.
@@ -136,7 +136,6 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
         return Err(format!("{} is not a cargo workspace (no Cargo.toml)", root.display()));
     }
     let lock_order = load_lock_order(root);
-    let cluster_order = load_lock_order_at(&root.join("crates/cluster/src/lock_order.rs"));
     let span_registry = load_span_registry(root);
     let rels = workspace_files(root)?;
     let checked_files = rels.len();
@@ -182,7 +181,6 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
         edges.extend(facts::lock_edges(&f.path, &f.parsed, &facts));
     }
     let mut extra = facts::check_lock_graph(&edges, &lock_order);
-    extra.extend(facts::check_lock_order_registries(&lock_order, cluster_order.as_deref()));
     extra.extend(wire_findings(root, &inputs));
     extra.extend(facts::check_obs_consistency(&inputs, span_registry.as_deref()));
 
@@ -333,18 +331,15 @@ where
     }
 }
 
-/// The service crate's documented lock-order list, parsed from
-/// `crates/service/src/lock_order.rs` (the string literals of the
-/// `LOCK_ORDER` const, in order). Empty when absent.
-pub fn load_lock_order(root: &Path) -> Vec<String> {
-    load_lock_order_at(&root.join("crates/service/src/lock_order.rs")).unwrap_or_default()
-}
+/// Workspace-relative path of the lock-order registry.
+pub const LOCK_REGISTRY_PATH: &str = "crates/cluster/src/lock_order.rs";
 
-/// Parses the `LOCK_ORDER` const of one registry file; `None` when the
-/// file is absent.
-pub fn load_lock_order_at(path: &Path) -> Option<Vec<String>> {
-    let source = fs::read_to_string(path).ok()?;
-    Some(const_str_list(&source, "LOCK_ORDER").into_iter().map(|(name, _)| name).collect())
+/// The workspace's lock-order list, parsed from [`LOCK_REGISTRY_PATH`] (the
+/// string literals of the `LOCK_ORDER` const, in order). Empty when
+/// absent.
+pub fn load_lock_order(root: &Path) -> Vec<String> {
+    let Ok(source) = fs::read_to_string(root.join(LOCK_REGISTRY_PATH)) else { return Vec::new() };
+    const_str_list(&source, "LOCK_ORDER").into_iter().map(|(name, _)| name).collect()
 }
 
 /// The observability span-name registry (`SPAN_NAMES` in
@@ -491,9 +486,9 @@ mod tests {
     fn lock_order_parsing_from_source() {
         let dir = std::env::temp_dir().join(format!("snn-lint-order-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("crates/service/src")).unwrap();
+        fs::create_dir_all(dir.join("crates/cluster/src")).unwrap();
         fs::write(
-            dir.join("crates/service/src/lock_order.rs"),
+            dir.join(LOCK_REGISTRY_PATH),
             "pub const LOCK_ORDER: &[&str] = &[\n    \"service.queue\",\n    \"service.store.jobs\",\n];\n",
         )
         .unwrap();

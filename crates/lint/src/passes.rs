@@ -573,7 +573,7 @@ fn check_lock(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
                 format!(
                     "unnamed `{}::{}` in a lock-disciplined crate — construct with \
                      `{}::named(\"<name>\", …)` using a name from LOCK_ORDER \
-                     (crates/service/src/lock_order.rs)",
+                     (crates/cluster/src/lock_order.rs)",
                     t.text, method.text, t.text
                 ),
             )),
@@ -590,7 +590,7 @@ fn check_lock(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
                                 "L-LOCK",
                                 format!(
                                     "lock name {:?} is not registered in LOCK_ORDER \
-                                     (crates/service/src/lock_order.rs) — add it at its \
+                                     (crates/cluster/src/lock_order.rs) — add it at its \
                                      acquisition rank",
                                     n.text
                                 ),

@@ -82,8 +82,8 @@ fn named_registered_mutex_in_service_is_clean() {
 
 #[test]
 fn unregistered_mutex_in_cluster_is_flagged() {
-    // The cluster crate shares the service crate's lock-order registry,
-    // so L-LOCK covers it with the same rules.
+    // The service and cluster crates share one lock-order registry, so
+    // L-LOCK covers the cluster crate with the same rules.
     let src = "pub struct C {\n    s: parking_lot::Mutex<u32>,\n}\nimpl C {\n    pub fn new() -> Self {\n        Self { s: parking_lot::Mutex::named(\"cluster.rogue\", 0) }\n    }\n}\n";
     assert_eq!(findings("crates/cluster/src/worker.rs", src), vec![(6, "L-LOCK")]);
 }

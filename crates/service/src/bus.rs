@@ -38,7 +38,7 @@ impl Default for EventBus {
 impl EventBus {
     /// An empty bus.
     pub fn new() -> Self {
-        crate::lock_order::register();
+        snn_cluster::lock_order::register();
         Self {
             subscribers: Mutex::named("service.bus.subscribers", Vec::new()),
             next_seq: AtomicU64::new(0),

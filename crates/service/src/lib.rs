@@ -58,7 +58,6 @@
 
 pub mod bus;
 pub mod client;
-pub mod lock_order;
 pub mod protocol;
 pub mod server;
 pub mod store;

@@ -300,7 +300,7 @@ impl Server {
     /// Binds the listen socket and opens (or recovers) the job store.
     /// Jobs found `Queued` on disk are re-enqueued immediately.
     pub fn bind(config: ServiceConfig) -> io::Result<Self> {
-        crate::lock_order::register();
+        snn_cluster::lock_order::register();
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let store = JobStore::open(&config.state_dir)?;

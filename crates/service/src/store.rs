@@ -36,7 +36,7 @@ impl JobStore {
     /// `Queued` never started and are kept queued (the server re-enqueues
     /// them); terminal jobs load as-is. Unreadable job files are skipped.
     pub fn open(state_dir: impl Into<PathBuf>) -> io::Result<Self> {
-        crate::lock_order::register();
+        snn_cluster::lock_order::register();
         let state_dir = state_dir.into();
         fs::create_dir_all(state_dir.join("jobs"))?;
         fs::create_dir_all(state_dir.join("results"))?;

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 
 #[test]
 fn inverting_the_documented_service_order_panics() {
-    snn_service::lock_order::register();
+    snn_cluster::lock_order::register();
     let queue = Mutex::named("service.queue", ());
     let jobs = Mutex::named("service.store.jobs", ());
 
@@ -40,7 +40,7 @@ fn inverting_the_documented_service_order_panics() {
 
 #[test]
 fn cluster_locks_rank_after_every_service_lock() {
-    snn_service::lock_order::register();
+    snn_cluster::lock_order::register();
     let queue = Mutex::named("service.queue", ());
     let coordinator = Mutex::named("cluster.coordinator", ());
 
@@ -72,7 +72,7 @@ fn cluster_locks_rank_after_every_service_lock() {
 
 #[test]
 fn analysis_cache_is_a_leaf_lock() {
-    snn_service::lock_order::register();
+    snn_cluster::lock_order::register();
     let cache = parking_lot::Mutex::named("service.analysis.cache", ());
     let queue = parking_lot::Mutex::named("service.queue", ());
 

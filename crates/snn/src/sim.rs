@@ -163,9 +163,7 @@ pub struct LayerState {
 
 /// Per-neuron effective LIF constants after applying behavioural faults.
 struct EffectiveParams {
-    threshold: Vec<f32>,
-    leak: Vec<f32>,
-    refrac: Vec<u32>,
+    lif: Vec<crate::LifParams>,
     /// 0 = normal, 1 = dead, 2 = saturated.
     forced: Vec<u8>,
 }
@@ -176,12 +174,7 @@ impl EffectiveParams {
         lif: &crate::LifParams,
         faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
     ) -> Self {
-        let mut p = Self {
-            threshold: vec![lif.threshold; n],
-            leak: vec![lif.leak; n],
-            refrac: vec![lif.refrac_steps; n],
-            forced: vec![0u8; n],
-        };
+        let mut p = Self { lif: vec![*lif; n], forced: vec![0u8; n] };
         if let Some(map) = faults {
             for (&i, fault) in map {
                 if i >= n {
@@ -195,11 +188,7 @@ impl EffectiveParams {
                         leak_scale,
                         refrac_delta,
                     } => {
-                        p.threshold[i] = (lif.threshold * threshold_scale).max(f32::EPSILON);
-                        p.leak[i] = (lif.leak * leak_scale).clamp(f32::EPSILON, 1.0);
-                        p.refrac[i] =
-                            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
-                            (i64::from(lif.refrac_steps) + i64::from(refrac_delta)).max(0) as u32;
+                        p.lif[i] = lif.with_timing_fault(threshold_scale, leak_scale, refrac_delta)
                     }
                 }
             }
@@ -254,27 +243,16 @@ where
                 }
                 _ => {}
             }
-            if refrac[i] > 0 {
-                refrac[i] -= 1;
-                carried[i] = 0.0;
-                out_row[i] = 0.0;
-                // gate stays 0, potential stays 0
-                continue;
-            }
-            let v = params.leak[i] * carried[i] + z[i];
-            if let Some(p) = potential.as_mut() {
-                p.as_mut_slice()[t * n + i] = v;
-            }
-            if let Some(g) = gate.as_mut() {
-                g.as_mut_slice()[t * n + i] = 1.0;
-            }
-            if v >= params.threshold[i] {
-                out_row[i] = 1.0;
-                carried[i] = 0.0;
-                refrac[i] = params.refrac[i];
-            } else {
-                out_row[i] = 0.0;
-                carried[i] = v;
+            let tick = params.lif[i].step(&mut carried[i], &mut refrac[i], z[i]);
+            out_row[i] = if tick.fired { 1.0 } else { 0.0 };
+            // A refractory tick leaves gate and potential at 0.
+            if let Some(v) = tick.potential {
+                if let Some(p) = potential.as_mut() {
+                    p.as_mut_slice()[t * n + i] = v;
+                }
+                if let Some(g) = gate.as_mut() {
+                    g.as_mut_slice()[t * n + i] = 1.0;
+                }
             }
         }
         let data = output.as_slice();
