@@ -80,7 +80,8 @@ step "packed engine — digest equality with the scalar engine on the example ne
 # Same seeded campaign under both engines: the packed path promises
 # bit-identical verdicts (DESIGN.md §18.3), so the digests must match
 # on all three example nets — nmnist (pool prefix), ibm (conv prefix,
-# exercising the scalar fallback), shd (recurrent prefix).
+# exercising the scalar fallback), shd (recurrent layer then dense: the
+# whole universe packs, so its plan must leave no scalar fallback).
 verdict_of() { sed -n 's/^verdict digest: \([0-9a-f]*\)$/\1/p' <<< "$1"; }
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
@@ -91,6 +92,10 @@ for m in nmnist ibm shd; do
         "$ANALYZE_TMP/$m.events" --engine packed)"
     grep -q '^engine: scalar$' <<< "$SCALAR_OUT" || { echo "$m: verify ignored --engine scalar"; exit 1; }
     grep -q '^engine: packed$' <<< "$PACKED_OUT" || { echo "$m: verify ignored --engine packed"; exit 1; }
+    if [[ "$m" == shd ]]; then
+        grep -q '^packed: [0-9]* faults in [0-9]* packs, scalar fallback: 0 faults$' <<< "$PACKED_OUT" \
+            || { echo "shd: packed plan left faults on the scalar fallback"; exit 1; }
+    fi
     SCALAR_DIGEST="$(verdict_of "$SCALAR_OUT")"
     PACKED_DIGEST="$(verdict_of "$PACKED_OUT")"
     [[ -n "$SCALAR_DIGEST" ]] || { echo "$m: verify printed no verdict digest"; exit 1; }

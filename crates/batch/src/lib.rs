@@ -14,13 +14,15 @@
 //! The pipeline:
 //!
 //! 1. [`plan`] — partition the fault list into *packs* of ≤ 64 variants
-//!    confined to the same layer of the network's dense suffix, plus a
-//!    scalar-fallback remainder (faults at conv/pool/recurrent sites or
-//!    ahead of a non-dense layer);
+//!    confined to the same layer of the network's packable suffix (its
+//!    trailing run of dense and recurrent layers), plus a scalar-fallback
+//!    remainder (faults at conv/pool sites or ahead of one);
 //! 2. lane assignment — each pack member gets a bit lane, with lane 0
 //!    reserved as a fault-free self-check in non-full packs;
 //! 3. packed run — per pack, per test: simulate each lane's single
-//!    perturbed neuron column scalar-wise, pack divergent columns into
+//!    perturbed neuron scalar-wise (to its first spike divergence, at a
+//!    recurrent layer, whose feedback then spreads it over the layer),
+//!    materialize the diverged lanes' layers, pack divergent rows into
 //!    spike words, and sweep the remaining layers lane-parallel.
 //!
 //! [`engine_detect`] is the drop-in campaign entry point: it resolves
@@ -46,33 +48,47 @@ use snn_faults::{
     FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse, Injection, InjectionError,
     Progress, ProgressSink,
 };
-use snn_model::{DenseLayer, Layer, Network, RecordOptions, Trace};
+use snn_model::{Layer, LifParams, Network, RecordOptions, Trace};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::LocalPhases;
 use snn_tensor::Tensor;
 
 use golden::{golden_suffix, GoldenLayer};
 
-pub use plan::{dense_suffix_start, FaultPlan, Pack};
+pub use plan::{packed_suffix_start, FaultPlan, Pack};
 
-/// The dense layer at `idx`.
-pub(crate) fn dense_layer(net: &Network, idx: usize) -> &DenseLayer {
+/// A layer of the packable suffix, viewed uniformly: a dense layer is a
+/// recurrent layer without feedback.
+pub(crate) struct SuffixLayer<'a> {
+    /// Feed-forward weights (`W` or `W_in`), `[n × in]`.
+    pub w_in: &'a Tensor,
+    /// Feedback weights `W_rec`, `[n × n]`; `None` for a dense layer.
+    pub w_rec: Option<&'a Tensor>,
+    /// Neuron parameters shared by the layer.
+    pub lif: &'a LifParams,
+}
+
+/// The dense or recurrent layer at `idx`.
+pub(crate) fn suffix_layer(net: &Network, idx: usize) -> SuffixLayer<'_> {
     match &net.layers()[idx] {
-        Layer::Dense(l) => l,
-        // The planner only packs faults in the dense suffix, so every
-        // layer the packed kernel addresses is dense by construction.
-        _ => unreachable!("packed engine addressed non-dense layer {idx}"),
+        Layer::Dense(l) => SuffixLayer { w_in: &l.weight, w_rec: None, lif: &l.lif },
+        Layer::Recurrent(l) => SuffixLayer { w_in: &l.w_in, w_rec: Some(&l.w_rec), lif: &l.lif },
+        // The planner only packs faults in the packable suffix, so every
+        // layer the packed kernel addresses is dense or recurrent by
+        // construction.
+        _ => unreachable!("packed engine addressed non-packable layer {idx}"),
     }
 }
 
 /// Resolves a requested engine against the network: [`Engine::Auto`]
 /// (and `None`) picks [`Engine::Packed`] when the network ends in a
-/// dense layer — the planner can then pack at least the last layer's
-/// faults — and [`Engine::Scalar`] otherwise. Never returns `Auto`.
+/// dense or recurrent layer — the planner can then pack at least the
+/// last layer's faults — and [`Engine::Scalar`] otherwise. Never returns
+/// `Auto`.
 pub fn resolve_engine(net: &Network, requested: Option<Engine>) -> Engine {
     match requested.unwrap_or(Engine::Auto) {
         Engine::Auto => {
-            if matches!(net.layers().last(), Some(Layer::Dense(_))) {
+            if net.layers().last().is_some_and(plan::packable) {
                 Engine::Packed
             } else {
                 Engine::Scalar
@@ -346,7 +362,7 @@ mod tests {
 
     #[test]
     fn packed_matches_scalar_on_a_conv_prefix_with_fallback() {
-        // Conv faults take the scalar fallback; dense-suffix faults pack.
+        // Conv faults take the scalar fallback; packable-suffix faults pack.
         let mut rng = StdRng::seed_from_u64(13);
         let net = NetworkBuilder::new_spatial(1, 6, 6, LifParams::default())
             .conv(2, 3, 1, 1)
@@ -368,6 +384,9 @@ mod tests {
             .build(&mut rng);
         assert_eq!(resolve_engine(&conv, None), Engine::Scalar);
         assert_eq!(resolve_engine(&conv, Some(Engine::Packed)), Engine::Packed);
+        let recurrent = NetworkBuilder::new(6, LifParams::default()).recurrent(5).build(&mut rng);
+        assert_eq!(resolve_engine(&recurrent, None), Engine::Packed);
+        assert_eq!(resolve_engine(&recurrent, Some(Engine::Scalar)), Engine::Scalar);
     }
 
     #[test]

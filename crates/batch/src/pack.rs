@@ -1,39 +1,56 @@
 //! The packed kernel: one pack of up to 64 fault variants swept
-//! lane-parallel over the dense suffix of the network.
+//! lane-parallel over the packable suffix of the network — its trailing
+//! run of dense and recurrent layers.
 //!
 //! # Shape of a sweep
 //!
 //! Every fault in a pack sits at the same layer `ℓ` and perturbs exactly
-//! one neuron's output column there (a weight fault patches one row of
-//! the layer matrix; a neuron fault overrides one neuron's behaviour).
-//! The sweep therefore runs in two stages:
+//! one neuron `q` there (a weight fault patches one row of a weight
+//! matrix — `W`, `W_in` or `W_rec`; a neuron fault overrides one neuron's
+//! behaviour). The sweep therefore runs in stages:
 //!
-//! * **Stage A** — per lane, simulate only the faulty neuron's column at
-//!   layer `ℓ` (scalar `f32`, one neuron × `T` ticks). Lanes whose column
-//!   equals the golden column are resolved immediately: the fault is
-//!   undetected by this test.
+//! * **Stage A** — per lane, simulate only the faulty neuron `q` at
+//!   layer `ℓ` (scalar `f32`, one neuron), on golden drives except where
+//!   the patched row meets an active input. Lanes whose spikes never
+//!   leave the golden column are resolved immediately: the fault is
+//!   undetected by this test. At a dense layer the other neurons never
+//!   see `q`, so `q`'s faulty column *is* the layer's faulty output. At a
+//!   recurrent layer stage A stops at `q`'s first spike divergence `t0`:
+//!   from `t0 + 1` on, `q`'s spikes feed back into every neuron.
+//! * **Fault-layer materialization** (recurrent `ℓ` only) — the diverged
+//!   lane's whole layer is re-simulated from `t0`: every other neuron
+//!   from the golden pre-tick state, `q` from the state stage A reached
+//!   (its membrane may have drifted ticks before its spikes did).
 //! * **Downstream** — diverged lanes are carried as bit lanes in packed
 //!   `u64` spike words through layers `ℓ+1..`. Per layer, a per-tick
 //!   [`row_diff_mask`] against the golden input rows finds which lanes
 //!   still differ; each such lane is *materialized lazily*: from its
 //!   first divergent tick `t0` onward the layer is re-simulated in `f32`
-//!   starting from the recorded golden pre-tick state (membrane +
-//!   refractory), with the synaptic drive taken from the stored golden
-//!   `z` on ticks where the lane's input row is golden and recomputed
-//!   via [`lane_row_dot`] otherwise. Lanes whose output reconverges to
-//!   the golden rows drop out; at the last layer the divergence scan
-//!   *is* the verdict.
+//!   starting from the recorded golden pre-tick state. Lanes whose output
+//!   reconverges to the golden rows drop out; at the last layer the
+//!   divergence scan *is* the verdict.
+//!
+//! Both materializations are one function, [`materialize`]: the
+//! feed-forward drive is the stored golden `z_in` on ticks where the
+//! lane's input row is golden and [`lane_row_dot`] otherwise; on a
+//! recurrent layer the feedback drive is the stored golden `z_rec` while
+//! the lane's previous output row is golden and [`row_dot`] over that
+//! row otherwise. A dense layer is the case without feedback.
 //!
 //! # Bit-exactness
 //!
 //! Verdicts must be bit-identical to the scalar engine's (the chunk
 //! `verdict_digest` is gated on it):
 //!
-//! * synaptic drives reuse golden `z` values or recompute them with
-//!   [`lane_row_dot`] / [`row_dot`], both bitwise equal to the `matvec`
-//!   rows the scalar engine computes (see `snn_tensor::packed`);
+//! * synaptic drives reuse golden `z_in`/`z_rec` values or recompute them
+//!   with [`lane_row_dot`] / [`row_dot`], both bitwise equal to the
+//!   `matvec` rows the scalar engine computes (see `snn_tensor::packed`),
+//!   and the two parts are summed by the scalar engine's own rule
+//!   (`golden::drive`: `z_in + z_rec`, feed-forward alone at tick 0);
 //! * every neuron update is `snn_model::LifParams::step`, the function
-//!   `run_lif` calls;
+//!   `run_lif` calls, from the state the scalar run holds at that tick —
+//!   the golden pre-state for neurons that have not diverged yet, the
+//!   stage-A state for the faulty neuron;
 //! * the L1 distance over binary spike trains is a diff-bit count — a
 //!   sum of exact `1.0`s, so counting bits and converting the integer to
 //!   `f32` reproduces the scalar accumulation bitwise (output layers are
@@ -47,14 +64,15 @@ use snn_faults::{
     provably_undetectable, ActivitySummary, Fault, FaultKind, FaultOutcome, FaultSimConfig,
     FaultSite, Injection,
 };
-use snn_model::{Network, Trace};
+use snn_model::{LifParams, Network, Trace};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::packed::{broadcast_row, lane_row_dot, row_diff_mask, row_dot, set_lane_bit};
 use snn_tensor::Tensor;
 
-use crate::golden::GoldenLayer;
+use crate::golden::{drive, GoldenLayer};
 use crate::plan::Pack;
+use crate::{suffix_layer, SuffixLayer};
 
 /// Read-only campaign state shared by every pack run.
 pub(crate) struct Ctx<'a> {
@@ -134,6 +152,130 @@ fn delta_to_f32(d: i32) -> f32 {
     d as f32
 }
 
+/// How a member's faulty neuron departs from the golden neuron.
+enum Departure {
+    /// Never fires; the membrane is untouched (`run_lif`'s forced path).
+    Dead,
+    /// Fires every tick; the membrane is untouched.
+    Saturated,
+    /// Integrates the golden drive with faulty LIF constants.
+    Timing(LifParams),
+    /// Integrates with one weight patched.
+    Row(PatchedRow),
+}
+
+/// The faulty neuron's row of the feed-forward matrix (`W` / `W_in`), or
+/// of `W_rec` when `feedback`, with column `c` replaced by the faulty
+/// value.
+struct PatchedRow {
+    feedback: bool,
+    c: usize,
+    row: Vec<f32>,
+}
+
+impl PatchedRow {
+    /// The neuron's drive at tick `t`, from its drive parts under the
+    /// unpatched weights. `x` is the layer's input row at `t`, `prev` the
+    /// lane's own output row at `t − 1` (read only on recurrent layers
+    /// from tick 1 on).
+    ///
+    /// The patched row changes the drive only when its patched column
+    /// carries traffic: otherwise the old and new products at `c` are
+    /// both exact zeroes, which never change the accumulator (see
+    /// `snn_tensor::packed`), so the unpatched part is bitwise the
+    /// patched one. This also covers fractional (pooled) inputs — an
+    /// average of zero spikes is exactly `+0.0`.
+    fn drive(
+        &self,
+        recurrent: bool,
+        t: usize,
+        x: &[f32],
+        prev: &[f32],
+        mut z_in: f32,
+        mut z_rec: f32,
+    ) -> f32 {
+        let (c, row) = (self.c, &self.row);
+        // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
+        let carries = |v: f32| v != 0.0;
+        if !self.feedback && carries(x[c]) {
+            z_in = row_dot(row, x);
+        } else if self.feedback && t > 0 && carries(prev[c]) {
+            z_rec = row_dot(row, prev);
+        }
+        drive(recurrent, t, z_in, z_rec)
+    }
+}
+
+/// The neuron a pack member's fault perturbs, and how.
+struct FaultyNeuron {
+    q: usize,
+    departure: Departure,
+}
+
+impl FaultyNeuron {
+    fn new(ctx: &Ctx<'_>, fi: usize, ell: usize) -> Self {
+        let fault = &ctx.faults[fi];
+        let layer = suffix_layer(ctx.net, ell);
+        let neuron = || match fault.site {
+            FaultSite::Neuron { index, .. } => index,
+            // Injections were realized via for_fault, which rejects
+            // site/kind mismatches before any pack runs.
+            FaultSite::Synapse(_) => unreachable!("neuron fault kind on a non-neuron site"),
+        };
+        match fault.kind {
+            FaultKind::NeuronDead => Self { q: neuron(), departure: Departure::Dead },
+            FaultKind::NeuronSaturated => Self { q: neuron(), departure: Departure::Saturated },
+            FaultKind::NeuronTiming { threshold_scale, leak_scale, refrac_delta } => {
+                let faulty = layer.lif.with_timing_fault(threshold_scale, leak_scale, refrac_delta);
+                Self { q: neuron(), departure: Departure::Timing(faulty) }
+            }
+            _ => {
+                let Injection::Weight { at, value } = &ctx.injections[fi] else {
+                    // Injections were realized via for_fault, which rejects
+                    // site/kind mismatches before any pack runs.
+                    unreachable!("synapse fault kind without a weight injection")
+                };
+                let (feedback, weight) = match (at.tensor, layer.w_rec) {
+                    (0, _) => (false, layer.w_in),
+                    (1, Some(w_rec)) => (true, w_rec),
+                    _ => unreachable!("weight fault on tensor {} of layer {ell}", at.tensor),
+                };
+                let cols = weight.shape().dim(1);
+                let (q, c) = (at.offset / cols, at.offset % cols);
+                let mut row = weight.as_slice()[q * cols..(q + 1) * cols].to_vec();
+                row[c] = *value;
+                Self { q, departure: Departure::Row(PatchedRow { feedback, c, row }) }
+            }
+        }
+    }
+
+    /// The neuron's faulty drive at tick `t` (see [`PatchedRow::drive`]).
+    fn drive(
+        &self,
+        recurrent: bool,
+        t: usize,
+        x: &[f32],
+        prev: &[f32],
+        z_in: f32,
+        z_rec: f32,
+    ) -> f32 {
+        match &self.departure {
+            Departure::Row(patch) => patch.drive(recurrent, t, x, prev, z_in, z_rec),
+            _ => drive(recurrent, t, z_in, z_rec),
+        }
+    }
+
+    /// Advances the neuron by one tick on drive `z`; `true` when it fires.
+    fn fire(&self, lif: &LifParams, carried: &mut f32, refrac: &mut u32, z: f32) -> bool {
+        match &self.departure {
+            Departure::Dead => false,
+            Departure::Saturated => true,
+            Departure::Timing(faulty) => faulty.step(carried, refrac, z).fired,
+            Departure::Row(_) => lif.step(carried, refrac, z).fired,
+        }
+    }
+}
+
 /// Runs one pack over every test input, returning per-member outcomes in
 /// member order. Phase accounting is recorded into a pack-local scratch
 /// and folded into the process-wide accumulator via `merge_pack`, which
@@ -194,169 +336,125 @@ fn run_test(
 ) {
     let ell = pack.layer;
     let gl = ctx.gold(k, ell);
-    let (steps, n) = (gl.steps, gl.n);
-    let num_layers = ctx.net.layers().len();
-    let last = ell == num_layers - 1;
+    let layer = suffix_layer(ctx.net, ell);
+    let x = ctx.layer_input(k, ell);
+    let last = ell == ctx.net.layers().len() - 1;
 
-    // Stage A: per member, the faulty neuron's output column at layer ℓ.
-    // Columns equal to the golden column resolve the lane right here.
-    let mut diverged: Vec<(usize, usize, Vec<u8>)> = Vec::new();
+    let mut settle = Settle::new(gl, last);
+    let mut columns = Vec::new();
     for (i, &fi) in pack.members.iter().enumerate() {
         if ctx.cfg.activity_filter
             && provably_undetectable(ctx.net, &ctx.activity[k], &ctx.faults[fi])
         {
             continue;
         }
-        let (q, out) = stage_a(ctx, k, fi, ell, gl, local);
-        let compare_started = monotonic();
-        let div = (0..steps).any(|t| (out[t] != 0) != gl.spike(t, q));
-        local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
-        if div {
-            diverged.push((i, q, out));
-        }
-    }
-    if diverged.is_empty() {
-        return;
-    }
-
-    if last {
-        // Layer ℓ is the output layer: the faulty output differs from the
-        // baseline in column q only, so the column diff is the verdict.
-        let compare_started = monotonic();
-        for (i, q, out) in &diverged {
-            let mut count = 0u32;
-            let mut delta = 0i32;
-            for (t, bit) in out.iter().enumerate() {
-                let lane_bit = *bit != 0;
-                if lane_bit != gl.spike(t, *q) {
-                    count += 1;
-                    delta += if lane_bit { 1 } else { -1 };
-                }
+        let lane = pack.lane(i);
+        let inject_started = monotonic();
+        let faulty = FaultyNeuron::new(ctx, fi, ell);
+        local.add(Phase::Inject, monotonic().saturating_sub(inject_started));
+        match stage_a(&layer, gl, x, &faulty, ell, local) {
+            StageA::Golden => {}
+            StageA::Column(column) => columns.push((lane, i, faulty.q, column)),
+            StageA::Diverged { t0, carried, refrac } => {
+                let over = Override { faulty: &faulty, x, carried, refrac };
+                materialize(&layer, gl, None, Some(&over), lane, t0, &mut settle.buf, local, ell);
+                settle.lane(&ctx.cfg, lane, i, t0, verdicts, local);
             }
-            let q = *q;
-            verdicts[*i].update(&ctx.cfg, count_to_f32(count), || {
-                let mut diff = vec![0.0f32; n];
-                diff[q] = delta_to_f32(delta);
-                diff
-            });
-        }
-        local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
-        return;
-    }
-
-    // Pack layer ℓ's output words: golden rows broadcast to every lane,
-    // then each diverged lane's column q overridden with its stage-A bits.
-    let run_started = monotonic();
-    let mut words = vec![0u64; steps * n];
-    for t in 0..steps {
-        broadcast_row(&gl.out[t * n..(t + 1) * n], &mut words[t * n..(t + 1) * n]);
-    }
-    let mut live = 0u64;
-    for (i, q, out) in &diverged {
-        let lane = pack.lane(*i);
-        live |= 1u64 << lane;
-        for (t, bit) in out.iter().enumerate() {
-            set_lane_bit(&mut words[t * n + q], lane, *bit != 0);
         }
     }
-    local.add(Phase::PackRun, monotonic().saturating_sub(run_started));
-
-    downstream(ctx, pack, k, words, n, live, verdicts, local);
+    if !columns.is_empty() {
+        settle.columns(&ctx.cfg, &columns, verdicts, local);
+    }
+    if !last && settle.live != 0 {
+        downstream(ctx, pack, k, settle.words, settle.live, verdicts, local);
+    }
 }
 
-/// Stage A: simulates the single faulty neuron column of member fault
-/// `fi` at layer `ell`, returning `(neuron index, per-tick spikes)`.
+/// What stage A learned about one member under one test.
+enum StageA {
+    /// The faulty neuron's spikes equal the golden ones: this test does
+    /// not detect the fault.
+    Golden,
+    /// Dense fault layer: the faulty neuron's whole spike column (the
+    /// rest of the layer's output is golden).
+    Column(Vec<u8>),
+    /// Recurrent fault layer: the faulty neuron's spikes first differ at
+    /// `t0`, which it enters with this state.
+    Diverged { t0: usize, carried: f32, refrac: u32 },
+}
+
+/// Stage A: simulates the faulty neuron alone at layer `ell`, on golden
+/// inputs and (at a recurrent layer, before its first divergence)
+/// golden feedback.
 fn stage_a(
-    ctx: &Ctx<'_>,
-    k: usize,
-    fi: usize,
-    ell: usize,
+    layer: &SuffixLayer<'_>,
     gl: &GoldenLayer,
+    x: &[f32],
+    faulty: &FaultyNeuron,
+    ell: usize,
     local: &mut LocalPhases,
-) -> (usize, Vec<u8>) {
-    let fault = &ctx.faults[fi];
-    let steps = gl.steps;
-    match fault.kind {
-        FaultKind::NeuronDead | FaultKind::NeuronSaturated | FaultKind::NeuronTiming { .. } => {
-            let FaultSite::Neuron { index, .. } = fault.site else {
-                // Injections were realized via for_fault, which rejects
-                // site/kind mismatches before any pack runs.
-                unreachable!("neuron fault kind on a non-neuron site")
-            };
-            let forward_started = monotonic();
-            let out: Vec<u8> = match fault.kind {
-                // Forced behaviours ignore the membrane entirely, exactly
-                // like run_lif's forced paths.
-                FaultKind::NeuronDead => vec![0u8; steps],
-                FaultKind::NeuronSaturated => vec![1u8; steps],
-                FaultKind::NeuronTiming { threshold_scale, leak_scale, refrac_delta } => {
-                    // The drive is unchanged — only the LIF constants
-                    // differ — so the golden z column is reused verbatim.
-                    let lif = &crate::dense_layer(ctx.net, ell).lif;
-                    let lif = lif.with_timing_fault(threshold_scale, leak_scale, refrac_delta);
-                    let (mut carried, mut refrac) = (0.0f32, 0u32);
-                    let z = |t: usize| gl.z[t * gl.n + index];
-                    (0..steps)
-                        .map(|t| u8::from(lif.step(&mut carried, &mut refrac, z(t)).fired))
-                        .collect()
-                }
-                // The outer match arm admits the three neuron kinds only.
-                _ => unreachable!(),
-            };
-            local.add_forward(ell, monotonic().saturating_sub(forward_started));
-            (index, out)
+) -> StageA {
+    let forward_started = monotonic();
+    let q = faulty.q;
+    let cols = layer.w_in.shape().dim(1);
+    let recurrent = gl.recurrent();
+    // Every input the neuron sees here is golden: the layer input, and
+    // (up to its first divergence) the feedback row.
+    let outcome = match &faulty.departure {
+        Departure::Dead => forced_alone(gl, q, false),
+        Departure::Saturated => forced_alone(gl, q, true),
+        Departure::Timing(lif) => step_alone(gl, q, lif, |t| gl.drive_at(t, q)),
+        Departure::Row(patch) => step_alone(gl, q, layer.lif, |t| {
+            let prev = if recurrent && t > 0 { gl.row(t - 1) } else { &[] };
+            let (z_in, z_rec) = gl.parts(t, q);
+            patch.drive(recurrent, t, &x[t * cols..(t + 1) * cols], prev, z_in, z_rec)
+        }),
+    };
+    local.add_forward(ell, monotonic().saturating_sub(forward_started));
+    outcome
+}
+
+/// Steps neuron `q` alone from rest on drives `z(t)`, against the golden
+/// spikes of `q`.
+fn step_alone(gl: &GoldenLayer, q: usize, lif: &LifParams, z: impl Fn(usize) -> f32) -> StageA {
+    let (mut carried, mut refrac) = (0.0f32, 0u32);
+    let mut column = vec![0u8; gl.steps];
+    let mut diverged = false;
+    for (t, bit) in column.iter_mut().enumerate() {
+        let (carried_pre, refrac_pre) = (carried, refrac);
+        let fired = lif.step(&mut carried, &mut refrac, z(t)).fired;
+        if fired != gl.spike(t, q) {
+            if gl.recurrent() {
+                return StageA::Diverged { t0: t, carried: carried_pre, refrac: refrac_pre };
+            }
+            diverged = true;
         }
-        _ => {
-            let Injection::Weight { at, value } = &ctx.injections[fi] else {
-                // Injections were realized via for_fault, which rejects
-                // site/kind mismatches before any pack runs.
-                unreachable!("synapse fault kind without a weight injection")
-            };
-            let inject_started = monotonic();
-            let layer = crate::dense_layer(ctx.net, ell);
-            let cols = layer.weight.shape().dim(1);
-            let q = at.offset / cols;
-            let c = at.offset % cols;
-            let wd = layer.weight.as_slice();
-            let mut patched = wd[q * cols..(q + 1) * cols].to_vec();
-            patched[c] = *value;
-            let forward_started = monotonic();
-            local.add(Phase::Inject, forward_started.saturating_sub(inject_started));
-            let x = ctx.layer_input(k, ell);
-            let (mut carried, mut refrac) = (0.0f32, 0u32);
-            let out: Vec<u8> = (0..steps)
-                .map(|t| {
-                    // z reuse: when input feature c carries no traffic
-                    // this tick, the old and new products at c are both
-                    // exact zeroes, which never change the accumulator
-                    // (see snn_tensor::packed), so the patched row's dot
-                    // product is bitwise the stored golden drive. This
-                    // also covers fractional (pooled) inputs — an average
-                    // of zero spikes is exactly +0.0.
-                    // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
-                    let z = if x[t * cols + c] != 0.0 {
-                        row_dot(&patched, &x[t * cols..(t + 1) * cols])
-                    } else {
-                        gl.z[t * gl.n + q]
-                    };
-                    u8::from(layer.lif.step(&mut carried, &mut refrac, z).fired)
-                })
-                .collect();
-            local.add_forward(ell, monotonic().saturating_sub(forward_started));
-            (q, out)
-        }
+        *bit = u8::from(fired);
+    }
+    if diverged {
+        StageA::Column(column)
+    } else {
+        StageA::Golden
+    }
+}
+
+/// Neuron `q` forced to fire always (`on`) or never: it never integrates,
+/// so it stays at rest.
+fn forced_alone(gl: &GoldenLayer, q: usize, on: bool) -> StageA {
+    match (0..gl.steps).find(|&t| gl.spike(t, q) != on) {
+        None => StageA::Golden,
+        Some(t0) if gl.recurrent() => StageA::Diverged { t0, carried: 0.0, refrac: 0 },
+        Some(_) => StageA::Column(vec![u8::from(on); gl.steps]),
     }
 }
 
 /// Carries diverged lanes through layers `ell+1..`, materializing lanes
 /// lazily and resolving verdicts at the last layer.
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing, never public
 fn downstream(
     ctx: &Ctx<'_>,
     pack: &Pack,
     k: usize,
     mut words: Vec<u64>,
-    mut n_in: usize,
     mut live: u64,
     verdicts: &mut [LaneVerdict],
     local: &mut LocalPhases,
@@ -367,8 +465,7 @@ fn downstream(
     for d in pack.layer + 1..num_layers {
         let gin = ctx.gold(k, d - 1);
         let gd = ctx.gold(k, d);
-        let steps = gd.steps;
-        debug_assert_eq!(gin.n, n_in);
+        let (steps, n_in) = (gd.steps, gin.n);
 
         // Which lanes' inputs to layer d differ from the golden rows, and
         // at which ticks. Lanes with no divergent tick reconverged at the
@@ -377,11 +474,7 @@ fn downstream(
         let mut diffmask = vec![0u64; steps];
         let mut union = 0u64;
         for (t, mask) in diffmask.iter_mut().enumerate() {
-            *mask = row_diff_mask(
-                &words[t * n_in..(t + 1) * n_in],
-                &gin.out[t * n_in..(t + 1) * n_in],
-                live,
-            );
+            *mask = row_diff_mask(&words[t * n_in..(t + 1) * n_in], gin.row(t), live);
             union |= *mask;
         }
         if pack.golden_lane {
@@ -393,27 +486,10 @@ fn downstream(
             return;
         }
 
-        let layer = crate::dense_layer(ctx.net, d);
-        let n_d = gd.n;
+        let layer = suffix_layer(ctx.net, d);
         let last = d == num_layers - 1;
-
-        let mut words_out = Vec::new();
-        if !last {
-            let run_started = monotonic();
-            words_out = vec![0u64; steps * n_d];
-            for t in 0..steps {
-                broadcast_row(
-                    &gd.out[t * n_d..(t + 1) * n_d],
-                    &mut words_out[t * n_d..(t + 1) * n_d],
-                );
-            }
-            local.add(Phase::PackRun, monotonic().saturating_sub(run_started));
-        }
-
-        // out_buf is reused across lanes; rows before a lane's t0 are
-        // stale, and every consumer below only reads t0.. rows.
-        let mut out_buf = vec![0u8; steps * n_d];
-        let mut next_live = 0u64;
+        let input = LaneInput { words: &words, n_in, diffmask: &diffmask };
+        let mut settle = Settle::new(gd, last);
         let mut rest = live;
         while rest != 0 {
             let lane = rest.trailing_zeros();
@@ -424,96 +500,271 @@ fn downstream(
                 .position(|m| (m >> lane) & 1 == 1)
                 // snn-lint: allow(L-PANIC): lane is live, so some diffmask bit is set
                 .expect("live lane has a divergent tick");
-            materialize_lane(layer, gd, &words, n_in, lane, t0, &diffmask, &mut out_buf, local, d);
-
-            if last {
-                let compare_started = monotonic();
-                let mut count = 0u32;
-                let mut delta = vec![0i32; n_d];
-                for t in t0..steps {
-                    for (q, dq) in delta.iter_mut().enumerate() {
-                        let lane_bit = out_buf[t * n_d + q] != 0;
-                        if lane_bit != gd.spike(t, q) {
-                            count += 1;
-                            *dq += if lane_bit { 1 } else { -1 };
-                        }
-                    }
-                }
-                verdicts[member].update(&ctx.cfg, count_to_f32(count), || {
-                    delta.iter().map(|&x| delta_to_f32(x)).collect()
-                });
-                local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
-            } else {
-                let run_started = monotonic();
-                let mut lane_diverged = false;
-                for t in t0..steps {
-                    for q in 0..n_d {
-                        let on = out_buf[t * n_d + q] != 0;
-                        set_lane_bit(&mut words_out[t * n_d + q], lane, on);
-                        lane_diverged |= on != gd.spike(t, q);
-                    }
-                }
-                if lane_diverged {
-                    next_live |= 1u64 << lane;
-                }
-                local.add(Phase::PackRun, monotonic().saturating_sub(run_started));
-            }
+            materialize(&layer, gd, Some(&input), None, lane, t0, &mut settle.buf, local, d);
+            settle.lane(&ctx.cfg, lane, member, t0, verdicts, local);
         }
 
-        if last {
+        if last || settle.live == 0 {
             return;
         }
-        live = next_live;
-        if live == 0 {
-            return;
-        }
-        words = words_out;
-        n_in = n_d;
+        live = settle.live;
+        words = settle.words;
     }
 }
 
-/// Materializes one lane through layer `d` from its first divergent
-/// input tick `t0`: before `t0` the lane's input rows are golden, so its
-/// state *entering* `t0` is exactly the recorded golden pre-tick state
-/// (see `golden.rs`). Drives come from the stored golden `z` on
-/// non-divergent ticks and [`lane_row_dot`] otherwise; neurons advance by
-/// [`snn_model::LifParams::step`]. Output spikes land in `out_buf[t0.. ]` rows.
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing, never public
-fn materialize_lane(
-    layer: &snn_model::DenseLayer,
-    gd: &GoldenLayer,
-    words_in: &[u64],
+/// Where one layer's diverged lanes go: at the output layer into their
+/// verdicts, elsewhere into the packed spike words the next layer reads.
+struct Settle<'g> {
+    gd: &'g GoldenLayer,
+    last: bool,
+    /// Packed output words `[T × n]`: golden rows broadcast to every
+    /// lane, diverged lanes' rows overwritten. Built on the first lane
+    /// that needs it; unused at the output layer.
+    words: Vec<u64>,
+    /// Lanes whose output differs from the golden rows.
+    live: u64,
+    /// One materialized lane's output rows `[T × n]`, reused across
+    /// lanes: rows before a lane's `t0` are stale, and only `t0..` rows
+    /// are read.
+    buf: Vec<u8>,
+}
+
+impl<'g> Settle<'g> {
+    fn new(gd: &'g GoldenLayer, last: bool) -> Self {
+        Self { gd, last, words: Vec::new(), live: 0, buf: vec![0u8; gd.steps * gd.n] }
+    }
+
+    /// The packed output words, broadcast from the golden rows on first
+    /// use.
+    fn words(&mut self) -> &mut [u64] {
+        if self.words.is_empty() {
+            let gd = self.gd;
+            self.words = vec![0u64; gd.steps * gd.n];
+            for t in 0..gd.steps {
+                broadcast_row(gd.row(t), &mut self.words[t * gd.n..(t + 1) * gd.n]);
+            }
+        }
+        &mut self.words
+    }
+
+    /// Settles a dense fault layer's diverged lanes `(lane, member, q,
+    /// column)`, each differing from the golden rows in neuron `q`'s
+    /// column only.
+    fn columns(
+        &mut self,
+        cfg: &FaultSimConfig,
+        columns: &[(u32, usize, usize, Vec<u8>)],
+        verdicts: &mut [LaneVerdict],
+        local: &mut LocalPhases,
+    ) {
+        let started = monotonic();
+        let n = self.gd.n;
+        for (lane, member, q, column) in columns {
+            let (lane, q) = (*lane, *q);
+            if self.last {
+                let mut count = 0u32;
+                let mut delta = 0i32;
+                for (t, &bit) in column.iter().enumerate() {
+                    let lane_bit = bit != 0;
+                    if lane_bit != self.gd.spike(t, q) {
+                        count += 1;
+                        delta += if lane_bit { 1 } else { -1 };
+                    }
+                }
+                verdicts[*member].update(cfg, count_to_f32(count), || {
+                    let mut diff = vec![0.0f32; n];
+                    diff[q] = delta_to_f32(delta);
+                    diff
+                });
+            } else {
+                let words = self.words();
+                for (t, &bit) in column.iter().enumerate() {
+                    set_lane_bit(&mut words[t * n + q], lane, bit != 0);
+                }
+                self.live |= 1u64 << lane;
+            }
+        }
+        let phase = if self.last { Phase::Compare } else { Phase::PackRun };
+        local.add(phase, monotonic().saturating_sub(started));
+    }
+
+    /// Settles a lane materialized from `t0` into `self.buf`.
+    fn lane(
+        &mut self,
+        cfg: &FaultSimConfig,
+        lane: u32,
+        member: usize,
+        t0: usize,
+        verdicts: &mut [LaneVerdict],
+        local: &mut LocalPhases,
+    ) {
+        let (gd, n) = (self.gd, self.gd.n);
+        if self.last {
+            let compare_started = monotonic();
+            let mut count = 0u32;
+            let mut delta = vec![0i32; n];
+            for t in t0..gd.steps {
+                for (q, dq) in delta.iter_mut().enumerate() {
+                    let lane_bit = self.buf[t * n + q] != 0;
+                    if lane_bit != gd.spike(t, q) {
+                        count += 1;
+                        *dq += if lane_bit { 1 } else { -1 };
+                    }
+                }
+            }
+            verdicts[member].update(cfg, count_to_f32(count), || {
+                delta.iter().map(|&x| delta_to_f32(x)).collect()
+            });
+            local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
+        } else {
+            let run_started = monotonic();
+            self.words();
+            let mut lane_diverged = false;
+            for t in t0..gd.steps {
+                for q in 0..n {
+                    let on = self.buf[t * n + q] != 0;
+                    set_lane_bit(&mut self.words[t * n + q], lane, on);
+                    lane_diverged |= on != gd.spike(t, q);
+                }
+            }
+            if lane_diverged {
+                self.live |= 1u64 << lane;
+            }
+            local.add(Phase::PackRun, monotonic().saturating_sub(run_started));
+        }
+    }
+}
+
+/// A lane's layer input downstream of the fault layer: packed spike
+/// words `[T × n_in]` and, per tick, the lanes whose input row differs
+/// from the golden row.
+struct LaneInput<'a> {
+    words: &'a [u64],
     n_in: usize,
+    diffmask: &'a [u64],
+}
+
+/// The faulty neuron of a recurrent fault layer, entering the
+/// materialization's first tick with the state stage A left it in.
+struct Override<'a> {
+    faulty: &'a FaultyNeuron,
+    /// The fault layer's golden input, `[T × in]`.
+    x: &'a [f32],
+    carried: f32,
+    refrac: u32,
+}
+
+/// Materializes one lane through layer `d` from tick `t0`, writing its
+/// output spikes into rows `t0..` of `out`.
+///
+/// Before `t0` the lane evolved exactly like the golden run, so every
+/// neuron enters `t0` in its recorded golden pre-tick state (see
+/// `golden.rs`) — except the fault layer's faulty neuron (`over`), which
+/// enters it in the state stage A reached. The feed-forward drive is the
+/// stored golden `z_in` on ticks where the lane's input row is golden
+/// (always, at the fault layer: `input` is `None`) and [`lane_row_dot`]
+/// otherwise. On a recurrent layer the feedback drive is the stored
+/// golden `z_rec` while the lane's previous output row is golden and
+/// [`row_dot`] over that row otherwise. Neurons advance by
+/// [`snn_model::LifParams::step`].
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing, never public
+fn materialize(
+    layer: &SuffixLayer<'_>,
+    gd: &GoldenLayer,
+    input: Option<&LaneInput<'_>>,
+    over: Option<&Override<'_>>,
     lane: u32,
     t0: usize,
-    diffmask: &[u64],
-    out_buf: &mut [u8],
+    out: &mut [u8],
     local: &mut LocalPhases,
     d: usize,
 ) {
     let forward_started = monotonic();
-    let n = gd.n;
-    let steps = gd.steps;
-    let wd = layer.weight.as_slice();
-    let lif = &layer.lif;
+    let (n, steps) = (gd.n, gd.steps);
+    let recurrent = gd.recurrent();
+    let w_in = layer.w_in.as_slice();
+    let cols = layer.w_in.shape().dim(1);
+    let lif = layer.lif;
     let mut carried = gd.carried_pre[t0 * n..(t0 + 1) * n].to_vec();
     let mut refrac = gd.refrac_pre[t0 * n..(t0 + 1) * n].to_vec();
-    let mut z = vec![0.0f32; n];
+    // The faulty neuron steps apart from the others; `q == n` when the
+    // layer has none.
+    let q = over.map_or(n, |o| o.faulty.q);
+    if let Some(o) = over {
+        carried[q] = o.carried;
+        refrac[q] = o.refrac;
+    }
+    let mut z_in = vec![0.0f32; n];
+    let mut z_rec = vec![0.0f32; n];
+    // The lane's own previous output row (recurrent layers only).
+    let mut prev = vec![0.0f32; if recurrent { n } else { 0 }];
+    if recurrent && t0 > 0 {
+        prev.copy_from_slice(gd.row(t0 - 1));
+    }
+    let mut prev_golden = true;
     for t in t0..steps {
-        if (diffmask[t] >> lane) & 1 == 1 {
-            let row_words = &words_in[t * n_in..(t + 1) * n_in];
-            for (q, zq) in z.iter_mut().enumerate() {
-                *zq = lane_row_dot(&wd[q * n_in..(q + 1) * n_in], row_words, lane);
+        match input {
+            Some(inp) if (inp.diffmask[t] >> lane) & 1 == 1 => {
+                let row_words = &inp.words[t * inp.n_in..(t + 1) * inp.n_in];
+                for (i, zi) in z_in.iter_mut().enumerate() {
+                    *zi = lane_row_dot(&w_in[i * cols..(i + 1) * cols], row_words, lane);
+                }
             }
-        } else {
             // The lane's input row is golden this tick, so its drive is
             // the golden drive — bitwise (same matvec over same spikes).
-            z.copy_from_slice(&gd.z[t * n..(t + 1) * n]);
+            _ => z_in.copy_from_slice(&gd.z_in[t * n..(t + 1) * n]),
         }
-        let out_row = &mut out_buf[t * n..(t + 1) * n];
-        for q in 0..n {
-            out_row[q] = u8::from(lif.step(&mut carried[q], &mut refrac[q], z[q]).fired);
+        if let (Some(w_rec), true) = (layer.w_rec, t > 0) {
+            if prev_golden {
+                z_rec.copy_from_slice(&gd.z_rec[t * n..(t + 1) * n]);
+            } else {
+                let wr = w_rec.as_slice();
+                for (i, zi) in z_rec.iter_mut().enumerate() {
+                    *zi = row_dot(&wr[i * n..(i + 1) * n], &prev);
+                }
+            }
+        }
+        // The faulty neuron's drive, from its parts before they are summed.
+        let faulty_z = over.map(|o| {
+            let x = &o.x[t * cols..(t + 1) * cols];
+            o.faulty.drive(recurrent, t, x, &prev, z_in[q], z_rec[q])
+        });
+        if recurrent {
+            for (zi, &zr) in z_in.iter_mut().zip(z_rec.iter()) {
+                *zi = drive(true, t, *zi, zr);
+            }
+        }
+        let out_row = &mut out[t * n..(t + 1) * n];
+        let r = (q + 1).min(n);
+        step_neurons(lif, &z_in[..q], &mut carried[..q], &mut refrac[..q], &mut out_row[..q]);
+        step_neurons(lif, &z_in[r..], &mut carried[r..], &mut refrac[r..], &mut out_row[r..]);
+        if let (Some(o), Some(z)) = (over, faulty_z) {
+            out_row[q] = u8::from(o.faulty.fire(lif, &mut carried[q], &mut refrac[q], z));
+        }
+        if recurrent {
+            prev_golden = true;
+            for (i, p) in prev.iter_mut().enumerate() {
+                let on = out_row[i] != 0;
+                *p = f32::from(u8::from(on));
+                prev_golden &= on == gd.spike(t, i);
+            }
         }
     }
     local.add_forward(d, monotonic().saturating_sub(forward_started));
+}
+
+/// Advances neurons `i` by one tick on drives `z[i]`, writing their
+/// spikes: the plain `run_lif` update, over slices whose equal lengths
+/// keep the loop free of bounds checks.
+fn step_neurons(
+    lif: &LifParams,
+    z: &[f32],
+    carried: &mut [f32],
+    refrac: &mut [u32],
+    out: &mut [u8],
+) {
+    let neurons = out.iter_mut().zip(z).zip(carried.iter_mut().zip(refrac.iter_mut()));
+    for ((o, &z), (c, r)) in neurons {
+        *o = u8::from(lif.step(c, r, z).fired);
+    }
 }

@@ -2,11 +2,13 @@
 //! can take, grouped into packs of at most 64 compatible variants.
 //!
 //! A fault is *packable* when its site lies in the network's trailing run
-//! of dense layers (the **dense suffix**): from the fault layer onward
-//! every layer is dense, so each variant's divergence from the golden run
-//! can be carried as one bit lane in `u64` spike words. Faults outside
-//! the suffix (conv/pool/recurrent sites, or dense sites with a
-//! non-dense layer after them) fall back to the scalar engine.
+//! of dense and recurrent layers (the **packable suffix**): from the
+//! fault layer onward every layer is a weight matrix (plus, for a
+//! recurrent layer, a feedback matrix) over binary spikes, so each
+//! variant's divergence from the golden run can be carried as one bit
+//! lane in `u64` spike words. Faults outside the suffix (conv/pool sites,
+//! or dense/recurrent sites with a conv or pool layer after them) fall
+//! back to the scalar engine.
 //!
 //! Packs group packable faults by their fault layer — every member of a
 //! pack starts diverging at the same layer, so one packed sweep over the
@@ -20,14 +22,19 @@ use snn_model::{Layer, Network};
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::packed::LANES;
 
-/// Index of the first layer of the network's trailing all-dense run:
-/// the smallest `s` such that every layer in `s..len` is dense. Equals
-/// `len` when the last layer is not dense (empty suffix — nothing is
-/// packable).
-pub fn dense_suffix_start(net: &Network) -> usize {
+/// `true` for a layer the packed kernel can sweep: dense or recurrent.
+pub(crate) fn packable(layer: &Layer) -> bool {
+    matches!(layer, Layer::Dense(_) | Layer::Recurrent(_))
+}
+
+/// Index of the first layer of the network's packable suffix: the
+/// smallest `s` such that every layer in `s..len` is dense or recurrent.
+/// Equals `len` when the last layer is neither (empty suffix — nothing
+/// is packable).
+pub fn packed_suffix_start(net: &Network) -> usize {
     let layers = net.layers();
     let mut s = layers.len();
-    while s > 0 && matches!(layers[s - 1], Layer::Dense(_)) {
+    while s > 0 && packable(&layers[s - 1]) {
         s -= 1;
     }
     s
@@ -73,7 +80,7 @@ impl Pack {
 /// slice the plan was built from; every index appears exactly once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// First layer of the dense suffix (see [`dense_suffix_start`]).
+    /// First layer of the packable suffix (see [`packed_suffix_start`]).
     pub suffix_start: usize,
     /// Packs in ascending fault-layer order, members in supplied order.
     pub packs: Vec<Pack>,
@@ -99,7 +106,7 @@ pub fn plan(net: &Network, faults: &[Fault], local: &mut LocalPhases) -> FaultPl
     // Layer-indexed vectors (not a hash map) keep iteration order
     // deterministic.
     let plan_started = monotonic();
-    let suffix_start = dense_suffix_start(net);
+    let suffix_start = packed_suffix_start(net);
     let num_layers = net.layers().len();
     let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); num_layers];
     let mut fallback = Vec::new();
@@ -131,7 +138,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_faults::FaultUniverse;
+    use snn_faults::{FaultModelConfig, FaultSite, FaultUniverse};
     use snn_model::{LifParams, NetworkBuilder};
 
     fn dense_net() -> Network {
@@ -142,7 +149,7 @@ mod tests {
     #[test]
     fn all_dense_network_has_full_suffix_and_no_fallback() {
         let net = dense_net();
-        assert_eq!(dense_suffix_start(&net), 0);
+        assert_eq!(packed_suffix_start(&net), 0);
         let u = FaultUniverse::standard(&net);
         let p = plan(&net, u.faults(), &mut LocalPhases::new());
         assert!(p.fallback.is_empty());
@@ -177,7 +184,7 @@ mod tests {
             .conv(2, 3, 1, 1)
             .dense(5)
             .build(&mut rng);
-        assert_eq!(dense_suffix_start(&net), 1);
+        assert_eq!(packed_suffix_start(&net), 1);
         let u = FaultUniverse::standard(&net);
         let p = plan(&net, u.faults(), &mut LocalPhases::new());
         assert!(!p.fallback.is_empty());
@@ -192,6 +199,46 @@ mod tests {
     }
 
     #[test]
+    fn recurrent_prefix_faults_pack() {
+        // The SHD-like shape: recurrent layer then dense readout. Both
+        // layers are in the packable suffix, so nothing falls back, and
+        // both weight matrices (W_in, W_rec) of the recurrent layer pack.
+        let mut rng = StdRng::seed_from_u64(3);
+        let net =
+            NetworkBuilder::new(5, LifParams::default()).recurrent(6).dense(3).build(&mut rng);
+        assert_eq!(packed_suffix_start(&net), 0);
+        let u = FaultUniverse::with_config(&net, FaultModelConfig::default(), true, &[0, 7]);
+        let p = plan(&net, u.faults(), &mut LocalPhases::new());
+        assert!(p.fallback.is_empty());
+        assert_eq!(p.packed_faults(), u.len());
+        let packed_tensors =
+            |tensor| {
+                p.packs.iter().filter(|pk| pk.layer == 0).flat_map(|pk| &pk.members).any(
+                    |&i| matches!(u.faults()[i].site, FaultSite::Synapse(r) if r.tensor == tensor),
+                )
+            };
+        assert!(packed_tensors(0) && packed_tensors(1));
+    }
+
+    #[test]
+    fn conv_then_recurrent_splits_at_the_recurrent_layer() {
+        // The suffix starts after the last non-packable layer: conv faults
+        // fall back, recurrent and dense faults pack.
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
+            .conv(2, 3, 1, 1)
+            .recurrent(4)
+            .dense(3)
+            .build(&mut rng);
+        assert_eq!(packed_suffix_start(&net), 1);
+        let u = FaultUniverse::standard(&net);
+        let p = plan(&net, u.faults(), &mut LocalPhases::new());
+        assert!(p.fallback.iter().all(|&i| u.faults()[i].site.layer() == 0));
+        assert_eq!(p.packs.iter().map(|pk| pk.layer).min(), Some(1));
+        assert_eq!(p.packed_faults() + p.fallback.len(), u.len());
+    }
+
+    #[test]
     fn non_dense_last_layer_packs_nothing() {
         let mut rng = StdRng::seed_from_u64(2);
         let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
@@ -199,7 +246,7 @@ mod tests {
             .avg_pool(2)
             .build(&mut rng);
         let u = FaultUniverse::standard(&net);
-        assert_eq!(dense_suffix_start(&net), net.layers().len());
+        assert_eq!(packed_suffix_start(&net), net.layers().len());
         let p = plan(&net, u.faults(), &mut LocalPhases::new());
         assert!(p.packs.is_empty());
         assert_eq!(p.fallback.len(), u.len());

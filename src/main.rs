@@ -710,6 +710,21 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     });
     let outcome = outcome?;
     println!("engine: {resolved}");
+    if resolved == Engine::Packed {
+        // The packed engine's split of this campaign; the ci.sh
+        // packed-engine gate greps the fallback count.
+        let split = snn_mtfc::batch::plan::plan(
+            &net,
+            universe.faults(),
+            &mut obs::phase::LocalPhases::new(),
+        );
+        println!(
+            "packed: {} faults in {} packs, scalar fallback: {} faults",
+            split.packed_faults(),
+            split.packs.len(),
+            split.fallback.len()
+        );
+    }
     println!(
         "fault coverage: {:.2}% ({}/{} detected) in {:?}",
         outcome.fault_coverage() * 100.0,
