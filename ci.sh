@@ -22,6 +22,12 @@ if [[ "${1:-full}" == "quick" ]]; then
     exit 0
 fi
 
+step "perfbench smoke tests — the benchmark still builds against the crates it imports"
+# perfbench is a Cargo workspace of its own, so the workspace test run
+# above never compiles it; its smoke tests run every workload at a tiny
+# size.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 step "snn-lint"
 cargo run -q -p snn-lint --offline
 

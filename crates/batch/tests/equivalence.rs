@@ -14,10 +14,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_batch::{engine_detect, plan};
 use snn_faults::{
-    verdict_digest, CampaignOutcome, CancelToken, Engine, Fault, FaultKind, FaultModelConfig,
-    FaultSimConfig, FaultSite, FaultUniverse, NullSink,
+    plan, verdict_digest, CampaignOutcome, CancelToken, Engine, Fault, FaultKind, FaultModelConfig,
+    FaultSimConfig, FaultSimulator, FaultSite, FaultUniverse, NullSink,
 };
 use snn_model::{LifParams, Network, NetworkBuilder, WeightRef};
 use snn_obs::phase::LocalPhases;
@@ -74,7 +73,7 @@ fn run(
     faults: &[Fault],
     tests: &[Tensor],
 ) -> CampaignOutcome {
-    engine_detect(net, cfg_for(engine), u, faults, tests, &NullSink, &CancelToken::new()).unwrap()
+    FaultSimulator::new(net, cfg_for(engine)).detect(u, faults, tests)
 }
 
 /// The bitwise contract: same fault ids, same detection flags, same
@@ -233,24 +232,14 @@ fn collapsed_universe_expansion_is_engine_invariant() {
         "test needs a universe that actually collapses"
     );
     let tests = tests_for(&net, 32, 2);
-    let via = |engine: Engine| {
+    let collapsed = |engine: Engine| {
         analysis
             .collapsed
-            .detect_collapsed_via(&tests, |reps| {
-                engine_detect(
-                    &net,
-                    cfg_for(engine),
-                    &u,
-                    reps,
-                    &tests,
-                    &NullSink,
-                    &CancelToken::new(),
-                )
-            })
+            .detect_collapsed(&net, &u, &tests, cfg_for(engine), &NullSink, &CancelToken::new())
             .unwrap()
     };
-    let scalar = via(Engine::Scalar);
-    let packed = via(Engine::Packed);
+    let scalar = collapsed(Engine::Scalar);
+    let packed = collapsed(Engine::Packed);
     assert_eq!(scalar.per_fault.len(), u.len());
     assert_bit_identical(&scalar, &packed);
 }

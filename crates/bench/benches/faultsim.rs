@@ -1,4 +1,4 @@
-//! Fault-simulation campaign throughput, with the two accelerations
+//! Scalar fault-simulation campaign throughput, with the two accelerations
 //! ablated: prefix caching (re-simulate only from the faulty layer) and
 //! early exit (stop when a layer's activity matches the baseline).
 //!
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_bench::{build_dataset, build_network, BenchmarkKind, Scale};
-use snn_faults::{FaultSimConfig, FaultSimulator, FaultUniverse};
+use snn_faults::{Engine, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_tensor::Shape;
 use std::hint::black_box;
 
@@ -43,7 +43,8 @@ fn bench_faultsim(c: &mut Criterion) {
                 early_exit: early,
                 activity_filter: filter,
                 record_class_diffs: false,
-                engine: None,
+                // The variants measure the scalar loop's own knobs.
+                engine: Some(Engine::Scalar),
             },
         );
         group.bench_function(format!("400_faults/{name}"), |b| {

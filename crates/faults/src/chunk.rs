@@ -250,7 +250,7 @@ pub fn verdict_digest_hex(outcomes: &[FaultOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::progress::NullSink;
-    use crate::FaultSimConfig;
+    use crate::{Engine, FaultSimConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_model::{LifParams, Network, NetworkBuilder};
@@ -283,32 +283,36 @@ mod tests {
     #[test]
     fn chunked_campaign_is_bit_identical_to_whole() {
         let (net, u, test) = setup();
-        let sim = FaultSimulator::new(&net, FaultSimConfig::default());
-        let whole = sim.detect(&u, u.faults(), std::slice::from_ref(&test));
-
-        for chunk_size in [1, 3, 17, 1000] {
-            let chunks = plan(u.len(), chunk_size);
-            let parts: Vec<Vec<FaultOutcome>> = chunks
-                .iter()
-                .map(|c| {
-                    let ids: Vec<usize> = c.range().collect();
-                    sim.detect_chunk_with(
-                        &u,
-                        &ids,
-                        std::slice::from_ref(&test),
-                        &NullSink,
-                        &CancelToken::new(),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let merged = merge_chunks(&chunks, parts).unwrap();
-            assert_eq!(merged, whole.per_fault, "chunk size {chunk_size}");
-            assert_eq!(
-                verdict_digest(&merged),
-                verdict_digest(&whole.per_fault),
-                "chunk size {chunk_size}"
+        for engine in [Engine::Scalar, Engine::Packed] {
+            let sim = FaultSimulator::new(
+                &net,
+                FaultSimConfig { engine: Some(engine), ..FaultSimConfig::default() },
             );
+            let whole = sim.detect(&u, u.faults(), std::slice::from_ref(&test));
+            for chunk_size in [1, 3, 17, 1000] {
+                let chunks = plan(u.len(), chunk_size);
+                let parts: Vec<Vec<FaultOutcome>> = chunks
+                    .iter()
+                    .map(|c| {
+                        let ids: Vec<usize> = c.range().collect();
+                        sim.detect_chunk_with(
+                            &u,
+                            &ids,
+                            std::slice::from_ref(&test),
+                            &NullSink,
+                            &CancelToken::new(),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let merged = merge_chunks(&chunks, parts).unwrap();
+                assert_eq!(merged, whole.per_fault, "{engine:?}, chunk size {chunk_size}");
+                assert_eq!(
+                    verdict_digest(&merged),
+                    verdict_digest(&whole.per_fault),
+                    "{engine:?}, chunk size {chunk_size}"
+                );
+            }
         }
     }
 

@@ -1,15 +1,16 @@
 use serde::{Deserialize, Serialize};
+use snn_model::Network;
 
 /// Which execution engine runs a detection campaign.
 ///
-/// The scalar engine ([`FaultSimulator`](crate::FaultSimulator)) simulates
-/// one fault at a time; the packed engine (`snn-batch`) bit-packs up to 64
-/// fault variants into `u64` spike-word lanes and runs them in one pass.
-/// Both produce bit-identical verdicts — the packed path is a pure
-/// execution strategy, gated by the campaign `verdict_digest`. Selection
-/// is resolved *above* the simulators (CLI `--engine`, job specs, cluster
-/// campaign specs); [`FaultSimConfig`](crate::FaultSimConfig) carries the
-/// request so it rides the existing wire types unchanged.
+/// [`FaultSimulator::detect_with`](crate::FaultSimulator::detect_with)
+/// resolves the request in [`FaultSimConfig::engine`](crate::FaultSimConfig)
+/// with [`resolve_engine`] and runs it: the scalar engine simulates one
+/// fault at a time; the packed engine bit-packs up to 64 fault variants
+/// into `u64` spike-word lanes and runs them in one pass, handing the
+/// faults it cannot pack to the scalar loop. Both produce bit-identical
+/// verdicts — the packed path is a pure execution strategy, gated by the
+/// campaign `verdict_digest`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Per-fault scalar simulation (the reference path).
@@ -31,6 +32,24 @@ impl Engine {
             Engine::Packed => "packed",
             Engine::Auto => "auto",
         }
+    }
+}
+
+/// Resolves a requested engine against the network: [`Engine::Auto`]
+/// (and `None`) picks [`Engine::Packed`] when the network ends in a
+/// dense or recurrent layer — the planner can then pack at least the
+/// last layer's faults — and [`Engine::Scalar`] otherwise. Never returns
+/// `Auto`.
+pub fn resolve_engine(net: &Network, requested: Option<Engine>) -> Engine {
+    match requested.unwrap_or(Engine::Auto) {
+        Engine::Auto => {
+            if net.layers().last().is_some_and(crate::plan::packable) {
+                Engine::Packed
+            } else {
+                Engine::Scalar
+            }
+        }
+        explicit => explicit,
     }
 }
 

@@ -1,8 +1,12 @@
+use crate::engine::{resolve_engine, Engine};
+use crate::golden::{golden_suffix, GoldenLayer};
 use crate::inject::InjectionError;
+use crate::plan::{self, FaultPlan};
 use crate::progress::{CancelToken, Cancelled, NullSink, Progress, ProgressSink};
-use crate::{parallel, Fault, FaultKind, FaultSite, FaultUniverse, Injection};
+use crate::{pack, parallel, Fault, FaultKind, FaultSite, FaultUniverse, Injection};
 use serde::{Deserialize, Serialize};
 use snn_model::{Layer, Network, NeuronFaultMap, RecordOptions, Trace};
+use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -29,11 +33,12 @@ pub struct FaultSimConfig {
     /// Record the per-class output spike-count difference of each detected
     /// fault (needed to regenerate the paper's Fig. 9; costs memory).
     pub record_class_diffs: bool,
-    /// Requested execution engine (`None` = [`Engine::Auto`]). Carried in
-    /// the config so job and campaign wire types transport it unchanged;
-    /// [`FaultSimulator`] itself is always the scalar engine — dispatch to
-    /// the packed engine happens in `snn-batch`, which reads this field.
-    pub engine: Option<crate::Engine>,
+    /// Requested execution engine (`None` = [`Engine::Auto`]).
+    /// [`FaultSimulator::detect_with`] resolves it with [`resolve_engine`]
+    /// and runs that engine; job and campaign wire types carry it
+    /// unchanged. `prefix_cache` and `early_exit` shape only the scalar
+    /// loop.
+    pub engine: Option<Engine>,
 }
 
 impl Default for FaultSimConfig {
@@ -127,22 +132,23 @@ impl std::error::Error for CampaignError {
 }
 
 /// Bumps the campaign-wide simulated-faults counter. The one registration
-/// site for this metric: the scalar loop and the packed engine
-/// (`snn-batch`) both route through here so the kind/help text can never
-/// diverge between engines.
-pub fn record_faults_simulated(n: u64) {
+/// site for this metric: the scalar loop and the packed kernel both route
+/// through here so the kind/help text can never diverge between engines.
+pub(crate) fn record_faults_simulated(n: u64) {
     snn_obs::counter!("snn_faultsim_faults_simulated_total", "Faults simulated across campaigns.")
         .add(n);
 }
 
 /// Bumps the campaign-wide detected-faults counter (single registration
 /// site, shared by both engines — see [`record_faults_simulated`]).
-pub fn record_faults_detected(n: u64) {
+pub(crate) fn record_faults_detected(n: u64) {
     snn_obs::counter!("snn_faultsim_faults_detected_total", "Faults detected across campaigns.")
         .add(n);
 }
 
-/// Parallel, prefix-cached fault simulator over a fixed fault-free network.
+/// Parallel fault simulator over a fixed fault-free network: the one
+/// campaign driver, running the scalar loop, the packed engine or both
+/// (see [`detect_with`](Self::detect_with)).
 ///
 /// See the crate-level example for usage.
 #[derive(Debug)]
@@ -186,10 +192,17 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// [`detect`](Self::detect) with progress streaming and cooperative
-    /// cancellation: emits a [`Progress::FaultsSimulated`] tally after each
-    /// simulated fault and polls `cancel` between faults, returning
+    /// cancellation: emits a [`Progress::FaultsSimulated`] tally as faults
+    /// finish (one event per fault on the scalar loop, one per pack on the
+    /// packed engine) and polls `cancel` between them, returning
     /// [`CampaignError::Cancelled`] once it trips. Ill-formed faults are
     /// reported as [`CampaignError::Injection`] before any simulation runs.
+    ///
+    /// The campaign runs under the engine [`FaultSimConfig::engine`]
+    /// requests, resolved by [`resolve_engine`]. Under the packed engine
+    /// the faults it cannot pack run on the scalar loop first (under a
+    /// nested `faultsim.campaign` span), then the packs. Verdicts are
+    /// bit-identical whichever engine runs.
     ///
     /// # Panics
     ///
@@ -208,30 +221,15 @@ impl<'a> FaultSimulator<'a> {
         let mut campaign_span = snn_obs::span!("faultsim.campaign");
         campaign_span.attr("faults", faults.len());
         let start = snn_obs::clock::monotonic();
-        // Kernel-phase accounting: the per-fault loop records into the
-        // process-wide accumulator; the campaign publishes its delta as
-        // synthetic `phase.*` spans when tracing is on. (The accumulator
-        // is shared, so campaigns running concurrently in one process
-        // blend into each other's delta — dedicated worker processes and
-        // single-campaign CLI runs, the cases that ship traces, run one
-        // campaign at a time.)
+        // Kernel-phase accounting: the per-fault loop and the packs record
+        // into the process-wide accumulator; the campaign publishes its
+        // delta as synthetic `phase.*` spans when tracing is on. (The
+        // accumulator is shared, so campaigns running concurrently in one
+        // process blend into each other's delta — dedicated worker
+        // processes and single-campaign CLI runs, the cases that ship
+        // traces, run one campaign at a time.)
         let phases = snn_obs::phase::faultsim();
         let phases_before = phases.snapshot();
-        let baseline_span = snn_obs::span!("faultsim.baseline");
-        let baselines: Vec<Trace> =
-            tests.iter().map(|t| self.net.forward(t, RecordOptions::spikes_only())).collect();
-        let baseline_counts: Vec<Vec<f32>> = baselines.iter().map(|b| b.class_counts()).collect();
-        let activity: Vec<ActivitySummary> = if self.cfg.activity_filter {
-            tests
-                .iter()
-                .zip(baselines.iter())
-                .map(|(t, b)| ActivitySummary::new(self.net, t, b))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        drop(baseline_span);
-
         let cfg = self.cfg;
         let net = self.net;
         // Realize every fault up front so ill-formed ones are rejected
@@ -240,104 +238,196 @@ impl<'a> FaultSimulator<'a> {
             .iter()
             .map(|f| Injection::for_fault(net, universe, f))
             .collect::<Result<_, InjectionError>>()?;
+
+        // Campaign-level phase scratch: planning, lane assignment and the
+        // golden replays.
+        let mut campaign_local = LocalPhases::new();
+        let packed = resolve_engine(net, cfg.engine) == Engine::Packed;
+        let plan = if packed {
+            let mut plan_span = snn_obs::span!("batch.plan");
+            let plan = plan::plan(net, faults, &mut campaign_local);
+            plan_span.attr("packs", plan.packs.len());
+            plan_span.attr("fallback", plan.fallback.len());
+            plan
+        } else {
+            FaultPlan::scalar(faults.len())
+        };
+
+        let baseline_span = snn_obs::span!("faultsim.baseline");
+        let baselines: Vec<Trace> =
+            tests.iter().map(|t| net.forward(t, RecordOptions::spikes_only())).collect();
+        let baseline_counts: Vec<Vec<f32>> = baselines.iter().map(|b| b.class_counts()).collect();
+        let activity: Vec<ActivitySummary> = if cfg.activity_filter {
+            tests.iter().zip(&baselines).map(|(t, b)| ActivitySummary::new(net, t, b)).collect()
+        } else {
+            Vec::new()
+        };
+        // The per-test golden suffix trajectories every pack reads from.
+        let golden: Vec<Vec<GoldenLayer>> = if plan.packs.is_empty() {
+            Vec::new()
+        } else {
+            tests
+                .iter()
+                .zip(&baselines)
+                .map(|(t, b)| golden_suffix(net, t, b, plan.suffix_start, &mut campaign_local))
+                .collect()
+        };
+        drop(baseline_span);
+
         let done = AtomicUsize::new(0);
         let detected_total = AtomicUsize::new(0);
-        let per_fault = parallel::try_map_indexed(
-            faults.len(),
-            cfg.threads,
-            cancel,
-            || net.clone(),
-            |worker, i| {
-                let fault_started = snn_obs::clock::monotonic();
-                let mut local = snn_obs::phase::LocalPhases::new();
-                let fault = &faults[i];
-                let injection = &injections[i];
-                let mut detected = false;
-                let mut best_distance = 0.0f32;
-                let mut best_diff: Option<Vec<f32>> = None;
-                for (k, (input, baseline)) in tests.iter().zip(baselines.iter()).enumerate() {
-                    if cfg.activity_filter && provably_undetectable(net, &activity[k], fault) {
-                        continue;
-                    }
-                    let out = faulty_output(worker, baseline, input, injection, cfg, &mut local);
-                    let Some(output) = out else { continue };
-                    let compare_started = snn_obs::clock::monotonic();
-                    let distance = (&output - baseline.output()).l1_norm();
-                    if distance > 0.0 {
-                        detected = true;
-                        if distance > best_distance {
-                            best_distance = distance;
-                            if cfg.record_class_diffs {
-                                let classes = net.output_features();
-                                let steps = output.shape().dim(0);
-                                let mut counts = vec![0.0f32; classes];
-                                let od = output.as_slice();
-                                for t in 0..steps {
-                                    for (c, v) in counts
-                                        .iter_mut()
-                                        .zip(od[t * classes..(t + 1) * classes].iter())
-                                    {
-                                        *c += v;
-                                    }
+        let mut per_fault: Vec<Option<FaultOutcome>> = Vec::new();
+        per_fault.resize_with(faults.len(), || None);
+
+        if !plan.fallback.is_empty() {
+            // The packed engine's scalar remainder keeps a campaign span of
+            // its own, so traces can tell its time from the packs'.
+            let remainder_span = packed.then(|| {
+                snn_obs::counter!(
+                    "snn_batch_scalar_fallback_faults_total",
+                    "Faults the packed engine handed to the scalar fallback."
+                )
+                .add(as_u64(plan.fallback.len()));
+                let mut span = snn_obs::span!("faultsim.campaign");
+                span.attr("faults", plan.fallback.len());
+                span
+            });
+            let outcomes = parallel::try_map_indexed(
+                plan.fallback.len(),
+                cfg.threads,
+                cancel,
+                || net.clone(),
+                |worker, j| {
+                    let fault_started = snn_obs::clock::monotonic();
+                    let mut local = LocalPhases::new();
+                    let fault = &faults[plan.fallback[j]];
+                    let injection = &injections[plan.fallback[j]];
+                    let mut detected = false;
+                    let mut best_distance = 0.0f32;
+                    let mut best_diff: Option<Vec<f32>> = None;
+                    for (k, (input, baseline)) in tests.iter().zip(baselines.iter()).enumerate() {
+                        if cfg.activity_filter && provably_undetectable(net, &activity[k], fault) {
+                            continue;
+                        }
+                        let out =
+                            faulty_output(worker, baseline, input, injection, cfg, &mut local);
+                        let Some(output) = out else { continue };
+                        let compare_started = snn_obs::clock::monotonic();
+                        let distance = (&output - baseline.output()).l1_norm();
+                        if distance > 0.0 {
+                            detected = true;
+                            if distance > best_distance {
+                                best_distance = distance;
+                                if cfg.record_class_diffs {
+                                    let counts = output.column_sums();
+                                    let bc = &baseline_counts[k];
+                                    best_diff = Some(
+                                        counts.iter().zip(bc.iter()).map(|(f, b)| f - b).collect(),
+                                    );
                                 }
-                                let bc = &baseline_counts[k];
-                                best_diff = Some(
-                                    counts.iter().zip(bc.iter()).map(|(f, b)| f - b).collect(),
-                                );
                             }
                         }
+                        local.add(
+                            Phase::Compare,
+                            snn_obs::clock::monotonic().saturating_sub(compare_started),
+                        );
                     }
-                    local.add(
-                        snn_obs::phase::Phase::Compare,
-                        snn_obs::clock::monotonic().saturating_sub(compare_started),
-                    );
-                }
-                if detected {
-                    detected_total.fetch_add(1, Ordering::Relaxed);
-                    record_faults_detected(1);
-                }
-                record_faults_simulated(1);
-                let fault_elapsed = snn_obs::clock::monotonic().saturating_sub(fault_started);
-                local.add(snn_obs::phase::Phase::Fault, fault_elapsed);
-                snn_obs::histogram!(
-                    "snn_faultsim_fault_seconds",
-                    "Per-fault simulation time.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(fault_elapsed);
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_inject_seconds",
-                    "Per-fault time applying and restoring the fault patch.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.total(snn_obs::phase::Phase::Inject));
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_forward_seconds",
-                    "Per-fault forward-simulation time summed over layers.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.forward_total());
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_compare_seconds",
-                    "Per-fault baseline-comparison and verdict time.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.total(snn_obs::phase::Phase::Compare));
-                phases.merge(&local);
-                sink.emit(Progress::FaultsSimulated {
-                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                    total: faults.len(),
-                    detected: detected_total.load(Ordering::Relaxed),
-                });
-                FaultOutcome {
-                    fault_id: fault.id,
-                    detected,
-                    distance: best_distance,
-                    class_diff: best_diff,
-                }
-            },
-        )?;
+                    if detected {
+                        detected_total.fetch_add(1, Ordering::Relaxed);
+                        record_faults_detected(1);
+                    }
+                    record_faults_simulated(1);
+                    let fault_elapsed = snn_obs::clock::monotonic().saturating_sub(fault_started);
+                    local.add(Phase::Fault, fault_elapsed);
+                    snn_obs::histogram!(
+                        "snn_faultsim_fault_seconds",
+                        "Per-fault simulation time.",
+                        snn_obs::metrics::FINE_DURATION_BUCKETS
+                    )
+                    .observe_duration(fault_elapsed);
+                    snn_obs::histogram!(
+                        "snn_faultsim_phase_inject_seconds",
+                        "Per-fault time applying and restoring the fault patch.",
+                        snn_obs::metrics::FINE_DURATION_BUCKETS
+                    )
+                    .observe_duration(local.total(Phase::Inject));
+                    snn_obs::histogram!(
+                        "snn_faultsim_phase_forward_seconds",
+                        "Per-fault forward-simulation time summed over layers.",
+                        snn_obs::metrics::FINE_DURATION_BUCKETS
+                    )
+                    .observe_duration(local.forward_total());
+                    snn_obs::histogram!(
+                        "snn_faultsim_phase_compare_seconds",
+                        "Per-fault baseline-comparison and verdict time.",
+                        snn_obs::metrics::FINE_DURATION_BUCKETS
+                    )
+                    .observe_duration(local.total(Phase::Compare));
+                    phases.merge(&local);
+                    sink.emit(Progress::FaultsSimulated {
+                        done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                        total: faults.len(),
+                        detected: detected_total.load(Ordering::Relaxed),
+                    });
+                    FaultOutcome {
+                        fault_id: fault.id,
+                        detected,
+                        distance: best_distance,
+                        class_diff: best_diff,
+                    }
+                },
+            )?;
+            drop(remainder_span);
+            for (&fi, o) in plan.fallback.iter().zip(outcomes) {
+                per_fault[fi] = Some(o);
+            }
+        }
 
+        if !plan.packs.is_empty() {
+            let ctx = pack::Ctx {
+                net,
+                cfg,
+                faults,
+                injections: &injections,
+                tests,
+                baselines: &baselines,
+                activity: &activity,
+                golden: &golden,
+                suffix_start: plan.suffix_start,
+            };
+            let outcomes = parallel::try_map_indexed(
+                plan.packs.len(),
+                cfg.threads,
+                cancel,
+                || (),
+                |_, pi| {
+                    let pk = &plan.packs[pi];
+                    let outcomes = pack::run_pack(&ctx, pk);
+                    let det = outcomes.iter().filter(|o| o.detected).count();
+                    let detected = detected_total.fetch_add(det, Ordering::Relaxed) + det;
+                    let members = pk.members.len();
+                    let done_now = done.fetch_add(members, Ordering::Relaxed) + members;
+                    sink.emit(Progress::FaultsSimulated {
+                        done: done_now,
+                        total: faults.len(),
+                        detected,
+                    });
+                    outcomes
+                },
+            )?;
+            for (pk, outcomes) in plan.packs.iter().zip(outcomes) {
+                for (&fi, o) in pk.members.iter().zip(outcomes) {
+                    per_fault[fi] = Some(o);
+                }
+            }
+        }
+        let per_fault: Vec<FaultOutcome> = per_fault
+            .into_iter()
+            // snn-lint: allow(L-PANIC): the plan assigns every fault index to a pack or the scalar set exactly once
+            .map(|o| o.expect("every fault assigned to a pack or the scalar set"))
+            .collect();
+
+        phases.merge(&campaign_local);
         let elapsed = snn_obs::clock::monotonic().saturating_sub(start);
         if let Some(parent) = campaign_span.id() {
             let delta = phases.snapshot().delta_since(&phases_before);
@@ -348,34 +438,28 @@ impl<'a> FaultSimulator<'a> {
     }
 }
 
+/// Saturating `usize → u64` for metric increments.
+pub(crate) fn as_u64(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 /// Per-test-input activity summary backing the activity filter: spike
 /// totals of every layer's input features and of every layer's own
-/// output neurons under the fault-free baseline.
-///
-/// Public so alternative execution engines (`snn-batch`) can apply the
-/// exact same filter the scalar path uses.
-pub struct ActivitySummary {
+/// output neurons under the fault-free baseline. The scalar loop and the
+/// packed kernel apply the same filter from it.
+pub(crate) struct ActivitySummary {
     input_counts: Vec<Vec<f32>>,
     output_counts: Vec<Vec<f32>>,
 }
 
 impl ActivitySummary {
     /// Summarizes `input` and its fault-free `baseline` trace on `net`.
-    pub fn new(net: &Network, input: &Tensor, baseline: &Trace) -> Self {
+    pub(crate) fn new(net: &Network, input: &Tensor, baseline: &Trace) -> Self {
         let mut input_counts = Vec::with_capacity(net.layers().len());
         let mut output_counts = Vec::with_capacity(net.layers().len());
         for (idx, _) in net.layers().iter().enumerate() {
             let src: &Tensor = if idx == 0 { input } else { &baseline.layers[idx - 1].output };
-            let dims = src.shape().dims();
-            let (steps, n) = (dims[0], dims[1]);
-            let mut counts = vec![0.0f32; n];
-            let data = src.as_slice();
-            for t in 0..steps {
-                for (c, v) in counts.iter_mut().zip(data[t * n..(t + 1) * n].iter()) {
-                    *c += v;
-                }
-            }
-            input_counts.push(counts);
+            input_counts.push(src.column_sums());
             output_counts.push(baseline.layers[idx].spike_counts());
         }
         Self { input_counts, output_counts }
@@ -390,12 +474,10 @@ impl ActivitySummary {
 /// * a dead fault on a neuron that never fires anyway.
 ///
 /// Saturated and timing neuron faults are never filtered (they can create
-/// activity out of silence).
-///
-/// Public so alternative execution engines (`snn-batch`) share the exact
-/// filter decision — the filter is part of the verdict-equivalence
-/// contract, not an engine detail.
-pub fn provably_undetectable(net: &Network, acts: &ActivitySummary, fault: &Fault) -> bool {
+/// activity out of silence). Both engines share this decision — the
+/// filter is part of the verdict-equivalence contract, not an engine
+/// detail.
+pub(crate) fn provably_undetectable(net: &Network, acts: &ActivitySummary, fault: &Fault) -> bool {
     match (fault.site, fault.kind) {
         (FaultSite::Neuron { layer, index }, FaultKind::NeuronDead) => {
             // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
@@ -453,10 +535,9 @@ pub(crate) fn faulty_output(
     input: &Tensor,
     injection: &Injection,
     cfg: FaultSimConfig,
-    local: &mut snn_obs::phase::LocalPhases,
+    local: &mut LocalPhases,
 ) -> Option<Tensor> {
     use snn_obs::clock::monotonic;
-    use snn_obs::phase::Phase;
 
     let num_layers = worker.layers().len();
     let start = if cfg.prefix_cache { injection.start_layer() } else { 0 };
@@ -550,13 +631,21 @@ mod tests {
         assert!(out.per_fault[0].distance > 0.0);
     }
 
+    /// The scalar loop's knobs: prefix caching and early exit change
+    /// how much is re-simulated, not the verdicts.
     #[test]
     fn prefix_cache_and_full_simulation_agree() {
         let (net, u, test) = setup();
         let faults = u.faults();
-        let fast =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 2, ..FaultSimConfig::default() })
-                .detect(&u, faults, std::slice::from_ref(&test));
+        let fast = FaultSimulator::new(
+            &net,
+            FaultSimConfig {
+                threads: 2,
+                engine: Some(Engine::Scalar),
+                ..FaultSimConfig::default()
+            },
+        )
+        .detect(&u, faults, std::slice::from_ref(&test));
         let slow = FaultSimulator::new(
             &net,
             FaultSimConfig {
@@ -565,7 +654,7 @@ mod tests {
                 early_exit: false,
                 activity_filter: false,
                 record_class_diffs: false,
-                engine: None,
+                engine: Some(Engine::Scalar),
             },
         )
         .detect(&u, faults, std::slice::from_ref(&test));
@@ -577,23 +666,27 @@ mod tests {
 
     /// The activity filter is an optimization, not an approximation: a
     /// sparse stimulus (many silent inputs) yields identical verdicts
-    /// with the filter on and off.
+    /// with the filter on and off, under either engine.
     #[test]
     fn activity_filter_is_exact() {
         let (net, u, _) = setup();
         let mut rng = StdRng::seed_from_u64(77);
         // Very sparse input: most columns silent ⇒ the filter fires often.
         let sparse = snn_tensor::init::bernoulli(&mut rng, Shape::d2(25, 6), 0.08);
-        let with =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 1, ..FaultSimConfig::default() })
-                .detect(&u, u.faults(), std::slice::from_ref(&sparse));
-        let without = FaultSimulator::new(
-            &net,
-            FaultSimConfig { threads: 1, activity_filter: false, ..FaultSimConfig::default() },
-        )
-        .detect(&u, u.faults(), std::slice::from_ref(&sparse));
-        for (a, b) in with.per_fault.iter().zip(without.per_fault.iter()) {
-            assert_eq!(a.detected, b.detected, "fault {}", a.fault_id);
+        for engine in [Engine::Scalar, Engine::Packed] {
+            let run = |activity_filter| {
+                let cfg = FaultSimConfig {
+                    threads: 1,
+                    activity_filter,
+                    engine: Some(engine),
+                    ..FaultSimConfig::default()
+                };
+                FaultSimulator::new(&net, cfg).detect(&u, u.faults(), std::slice::from_ref(&sparse))
+            };
+            let (with, without) = (run(true), run(false));
+            for (a, b) in with.per_fault.iter().zip(without.per_fault.iter()) {
+                assert_eq!(a.detected, b.detected, "{engine} fault {}", a.fault_id);
+            }
         }
     }
 
@@ -682,8 +775,15 @@ mod tests {
     #[test]
     fn detect_with_streams_progress_and_matches_detect() {
         let (net, u, test) = setup();
-        let sim =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 2, ..FaultSimConfig::default() });
+        // The scalar loop reports once per fault.
+        let sim = FaultSimulator::new(
+            &net,
+            FaultSimConfig {
+                threads: 2,
+                engine: Some(Engine::Scalar),
+                ..FaultSimConfig::default()
+            },
+        );
         let events = parking_lot::Mutex::new(Vec::new());
         let sink = |e: Progress| events.lock().push(e);
         let streamed = sim

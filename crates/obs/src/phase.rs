@@ -13,7 +13,7 @@
 //!
 //! The hot loop records into a plain-integer [`LocalPhases`] scratch and
 //! folds it into the shared accumulator once per fault
-//! ([`PhaseAccumulator::merge`]). The packed engine (`snn-batch`)
+//! ([`PhaseAccumulator::merge`]). The packed engine (in `snn-faults`)
 //! simulates up to 64 fault variants per pass and records each phase
 //! once per *pack*; it flushes through
 //! [`PhaseAccumulator::merge_pack`], which attributes the wall time once

@@ -42,17 +42,7 @@ pub struct LayerTrace {
 impl LayerTrace {
     /// Spike count per neuron: `|O^{ℓi}|` in the paper's notation.
     pub fn spike_counts(&self) -> Vec<f32> {
-        let dims = self.output.shape().dims();
-        let (t, n) = (dims[0], dims[1]);
-        let mut counts = vec![0.0f32; n];
-        let data = self.output.as_slice();
-        for step in 0..t {
-            let row = &data[step * n..(step + 1) * n];
-            for (c, v) in counts.iter_mut().zip(row.iter()) {
-                *c += v;
-            }
-        }
-        counts
+        self.output.column_sums()
     }
 
     /// Number of neurons whose spike train is non-empty.

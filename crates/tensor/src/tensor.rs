@@ -136,6 +136,24 @@ impl Tensor {
         self.data.iter().sum()
     }
 
+    /// Per-column sums of a `[rows × cols]` tensor, accumulated one row
+    /// at a time from row 0 (for a `[T × n]` spike train: each feature's
+    /// spike count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor has fewer than two dimensions.
+    pub fn column_sums(&self) -> Vec<f32> {
+        let cols = self.shape.dim(1);
+        let mut sums = vec![0.0f32; cols];
+        for row in self.data.chunks_exact(cols.max(1)) {
+            for (s, v) in sums.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
+        sums
+    }
+
     /// Mean of all elements (0.0 for an empty tensor).
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -351,6 +369,12 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(Tensor::from_vec(Shape::d1(3), vec![1.0, 2.0, 3.0]).is_ok());
         assert!(Tensor::from_vec(Shape::d1(3), vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn column_sums_add_up_each_column() {
+        let t = Tensor::from_vec(Shape::d2(3, 2), vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0]).unwrap();
+        assert_eq!(t.column_sums(), vec![2.0, 2.0]);
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! * [`model`] — the clocked LIF SNN simulator with surrogate-gradient
 //!   BPTT, plus an event-driven cross-check engine, training, int8
 //!   quantization and a binary model format,
-//! * [`faults`] — behavioural fault models, the parallel prefix-cached
-//!   fault simulator, criticality labelling, statistical coverage
-//!   estimation and fault dictionaries for diagnosis,
-//! * [`batch`] — the bit-packed fault-parallel execution engine: fault
-//!   plan → lane assignment → packed LIF run over `u64` spike words,
-//!   bit-identical to the scalar path and selected per campaign via
-//!   `--engine packed|scalar|auto`,
+//! * [`faults`] — behavioural fault models, the parallel fault simulator
+//!   with its two engines (the prefix-cached scalar loop and the
+//!   bit-packed fault-parallel engine, bit-identical to each other and
+//!   selected per campaign via `--engine packed|scalar|auto`),
+//!   criticality labelling, statistical coverage estimation and fault
+//!   dictionaries for diagnosis,
 //! * [`datasets`] — synthetic NMNIST / DVS-gesture / SHD-like event
 //!   datasets and rate/TTFS encoders,
 //! * [`testgen`] — the paper's contribution: the two-stage loss-driven
@@ -66,7 +65,6 @@
 
 pub use snn_analyze as analyze;
 pub use snn_baselines as baselines;
-pub use snn_batch as batch;
 pub use snn_cluster as cluster;
 pub use snn_datasets as datasets;
 pub use snn_faults as faults;

@@ -42,7 +42,7 @@
 
 use rand::SeedableRng;
 use snn_mtfc::faults::progress::Progress;
-use snn_mtfc::faults::{Engine, FaultSimConfig, FaultUniverse};
+use snn_mtfc::faults::{Engine, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_mtfc::model::{LifParams, Network, NetworkBuilder};
 use snn_mtfc::obs;
 use snn_mtfc::service::{
@@ -694,26 +694,24 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
     let universe = FaultUniverse::standard(&net);
     let cfg = FaultSimConfig { engine: engine_flag(args)?, ..FaultSimConfig::default() };
-    let resolved = snn_mtfc::batch::resolve_engine(&net, cfg.engine);
-    let cancel = snn_mtfc::faults::CancelToken::new();
+    let resolved = snn_mtfc::faults::resolve_engine(&net, cfg.engine);
     let (outcome, collector) = with_trace(|| {
-        snn_mtfc::batch::engine_detect(
-            &net,
-            cfg,
-            &universe,
-            universe.faults(),
-            std::slice::from_ref(&stimulus),
-            &snn_mtfc::faults::NullSink,
-            &cancel,
-        )
-        .map_err(|e| format!("campaign failed: {e}"))
+        FaultSimulator::new(&net, cfg)
+            .detect_with(
+                &universe,
+                universe.faults(),
+                std::slice::from_ref(&stimulus),
+                &snn_mtfc::faults::NullSink,
+                &snn_mtfc::faults::CancelToken::new(),
+            )
+            .map_err(|e| format!("campaign failed: {e}"))
     });
     let outcome = outcome?;
     println!("engine: {resolved}");
     if resolved == Engine::Packed {
         // The packed engine's split of this campaign; the ci.sh
         // packed-engine gate greps the fallback count.
-        let split = snn_mtfc::batch::plan::plan(
+        let split = snn_mtfc::faults::plan::plan(
             &net,
             universe.faults(),
             &mut obs::phase::LocalPhases::new(),
